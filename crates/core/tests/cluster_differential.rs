@@ -11,6 +11,12 @@
 //! The fixture duplicates `golden_events.rs` nominal runs, and the
 //! bare-machine side re-asserts that suite's pinned hashes, so these
 //! tests chain the cluster back to the original pre-refactor goldens.
+//! A four-node fleet hash per balancer pins placement itself; recapture
+//! it (only for a deliberate model change) with:
+//!
+//! ```text
+//! GOLDEN_EVENTS_PRINT=1 cargo test -p accelflow-core --test cluster_differential -- --nocapture
+//! ```
 
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_arch::config::ArchConfig;
@@ -162,6 +168,69 @@ fn one_node_zero_link_cluster_matches_bare_machine_for_every_balancer() {
             );
         }
     }
+}
+
+/// Four-node datacenter-link fleet stream hash for one balancer: every
+/// node's events, tagged with the node id, folded into one hash. Unlike
+/// the one-node differential, placement decides which node sees which
+/// arrival, so this pins each balancer's choices end to end.
+fn fleet_hash(balancer: BalancerKind) -> (u64, u64) {
+    let mut cfg = ClusterConfig::new(4, nominal_cfg(Policy::AccelFlow));
+    cfg.link = NodeLink::datacenter();
+    cfg.balancer = balancer;
+    let mut hash = FNV_OFFSET;
+    let mut events = 0u64;
+    let report = Cluster::run_arrivals_observed(
+        &cfg,
+        &services(),
+        arrivals(RPS, MILLIS, SEED),
+        SimDuration::from_millis(MILLIS),
+        SEED,
+        |now, node, ev| {
+            events += 1;
+            fnv1a(&mut hash, format!("{now:?}|{node}|{ev:?}\n").as_bytes());
+        },
+    );
+    assert!(report.offered() > 0, "workload produced no load");
+    assert_eq!(report.clamped, 0, "outer kernel must never clamp");
+    (hash, events)
+}
+
+/// `(balancer, four-node fleet stream hash)`, captured on the
+/// trait-object balancers before placement became one `match`.
+const FLEET_PINNED: &[(BalancerKind, u64)] = &[
+    (BalancerKind::RoundRobin, 0xbce11e0274463d3d),
+    (BalancerKind::WeightedRandom, 0x717943f74d7420e6),
+    (BalancerKind::LeastLoaded, 0x20d71b8dec723dbf),
+    (BalancerKind::LocalityAware, 0x3b360dd803915bb2),
+];
+
+#[test]
+fn four_node_fleet_streams_match_pinned_hashes() {
+    let print = std::env::var("GOLDEN_EVENTS_PRINT").is_ok();
+    let mut failures = Vec::new();
+    let mut seen = Vec::new();
+    for &(kind, pinned) in FLEET_PINNED {
+        let (h, events) = fleet_hash(kind);
+        assert!(events > 1_000, "{kind}: fleet stream too thin");
+        if print {
+            println!("    (BalancerKind::{kind:?}, {h:#018x}),");
+        }
+        if h != pinned {
+            failures.push(format!(
+                "{kind}: fleet stream hash {h:#018x} != pinned {pinned:#018x}"
+            ));
+        }
+        seen.push(h);
+    }
+    assert!(
+        failures.is_empty(),
+        "fleet streams drifted from the pinned hashes:\n{}",
+        failures.join("\n")
+    );
+    seen.sort_unstable();
+    seen.dedup();
+    assert_eq!(seen.len(), FLEET_PINNED.len(), "balancer streams collided");
 }
 
 #[test]

@@ -141,40 +141,100 @@ fn stress_hash(policy: Policy) -> (u64, u64) {
     stream_hash(&cfg, arrivals(1_500.0, 20, 7), 20, 7)
 }
 
-/// Captured on the pre-refactor `machine.rs` monolith (seed state of
-/// this PR): `(policy, nominal stream hash, stress stream hash)`.
-const GOLDEN: &[(Policy, u64, u64)] = &[
-    (Policy::NonAcc, 0x010792f6d58620f1, 0x09e16c6a2d5f4c18),
-    (Policy::CpuCentric, 0x71a518de6ac93f3d, 0x1e36a99fa6ab3b73),
-    (Policy::Relief, 0x8f79795ee8369aee, 0x4690843cecf82223),
+/// The fault run: the nominal workload with every fault class firing,
+/// so retries, re-dispatch, CPU degradation and each policy's recovery
+/// path (software re-issue on a core vs. hardware front-end) all land
+/// in the stream.
+fn fault_hash(policy: Policy) -> (u64, u64) {
+    nominal_hash_with(policy, |cfg| {
+        cfg.faults = accelflow_core::FaultConfig::uniform(5.0);
+    })
+}
+
+/// `(policy, nominal stream hash, stress stream hash, fault stream
+/// hash)`. The nominal and stress columns were captured on the
+/// pre-refactor `machine.rs` monolith; the fault column was captured
+/// before the per-policy orchestration moved into the policy table.
+const GOLDEN: &[(Policy, u64, u64, u64)] = &[
+    (
+        Policy::NonAcc,
+        0x010792f6d58620f1,
+        0x09e16c6a2d5f4c18,
+        0x2c4ebf252ec49e94,
+    ),
+    (
+        Policy::CpuCentric,
+        0x71a518de6ac93f3d,
+        0x1e36a99fa6ab3b73,
+        0x004a1aa94e45732d,
+    ),
+    (
+        Policy::Relief,
+        0x8f79795ee8369aee,
+        0x4690843cecf82223,
+        0xe11b81b11f937478,
+    ),
     (
         Policy::ReliefPerTypeQ,
         0xa89e7d3a26a3bde1,
         0x6a68225cc5542fea,
+        0x44087fb3265f4b6f,
     ),
-    (Policy::Direct, 0xa285097637983236, 0x8d93e136b87dbf08),
-    (Policy::CntrFlow, 0x4140c66c866e4621, 0x05299c74d9400897),
-    (Policy::AccelFlow, 0x5e7b620c65f26463, 0xab5e3a87403c935a),
+    (
+        Policy::Direct,
+        0xa285097637983236,
+        0x8d93e136b87dbf08,
+        0xe655a2999ac5133a,
+    ),
+    (
+        Policy::CntrFlow,
+        0x4140c66c866e4621,
+        0x05299c74d9400897,
+        0xab18dc6308513e3c,
+    ),
+    (
+        Policy::AccelFlow,
+        0x5e7b620c65f26463,
+        0xab5e3a87403c935a,
+        0x3825f0802e667300,
+    ),
     (
         Policy::AccelFlowDeadline,
         0x9bad33e720213de4,
         0xab5e3a87403c935a,
+        0xfce9f21fa2a5ab29,
     ),
-    (Policy::Cohort, 0x93b2ba7be7bd7b57, 0xc53f44fd55bf3c61),
-    (Policy::Ideal, 0xc7fe51d8adca8767, 0xeeaef10ee8c43ade),
+    (
+        Policy::Cohort,
+        0x93b2ba7be7bd7b57,
+        0xc53f44fd55bf3c61,
+        0x623667b94308818e,
+    ),
+    (
+        Policy::Ideal,
+        0xc7fe51d8adca8767,
+        0xeeaef10ee8c43ade,
+        0x88d2c007a23df601,
+    ),
 ];
 
 #[test]
 fn event_streams_match_golden_hashes() {
     let print = std::env::var("GOLDEN_EVENTS_PRINT").is_ok();
     let mut failures = Vec::new();
-    for &(policy, nominal, stress) in GOLDEN {
+    for &(policy, nominal, stress, faulty) in GOLDEN {
         let (nh, nevents) = nominal_hash(policy);
         let (sh, sevents) = stress_hash(policy);
+        let (fh, fevents) = fault_hash(policy);
         assert!(nevents > 1_000, "{policy}: nominal stream too thin");
         assert!(sevents > 200, "{policy}: stress stream too thin");
+        assert!(fevents > 1_000, "{policy}: fault stream too thin");
+        assert_ne!(
+            fh, nh,
+            "{policy}: injected faults left the stream untouched"
+        );
         if print {
-            println!("    (Policy::{policy:?}, {nh:#018x}, {sh:#018x}),");
+            println!("    (Policy::{policy:?}, {nh:#018x}, {sh:#018x}, {fh:#018x}),");
         }
         if nh != nominal {
             failures.push(format!(
@@ -184,6 +244,11 @@ fn event_streams_match_golden_hashes() {
         if sh != stress {
             failures.push(format!(
                 "{policy}: stress stream hash {sh:#018x} != golden {stress:#018x}"
+            ));
+        }
+        if fh != faulty {
+            failures.push(format!(
+                "{policy}: fault stream hash {fh:#018x} != golden {faulty:#018x}"
             ));
         }
     }
@@ -201,9 +266,9 @@ fn zero_rate_faults_keep_the_golden_streams() {
     // stream hashes straight back to the committed goldens. One policy
     // per orchestration family keeps the runtime bounded.
     use accelflow_core::FaultConfig;
-    for &(policy, nominal, _) in GOLDEN
+    for &(policy, nominal, _, _) in GOLDEN
         .iter()
-        .filter(|(p, _, _)| matches!(p, Policy::AccelFlow | Policy::Relief | Policy::NonAcc))
+        .filter(|(p, _, _, _)| matches!(p, Policy::AccelFlow | Policy::Relief | Policy::NonAcc))
     {
         let (h, _) = nominal_hash_with(policy, |cfg| {
             cfg.faults = FaultConfig::uniform(0.0);
@@ -223,9 +288,9 @@ fn passive_control_keeps_the_golden_streams() {
     // the stream must hash straight back to the committed goldens.
     // An autoscaler is NOT passive — its ScaleTick chain is an event.
     use accelflow_core::{RateLimit, SloTarget};
-    for &(policy, nominal, _) in GOLDEN
+    for &(policy, nominal, _, _) in GOLDEN
         .iter()
-        .filter(|(p, _, _)| matches!(p, Policy::AccelFlow | Policy::Relief | Policy::NonAcc))
+        .filter(|(p, _, _, _)| matches!(p, Policy::AccelFlow | Policy::Relief | Policy::NonAcc))
     {
         let (h, _) = nominal_hash_with(policy, |cfg| {
             cfg.control.rate_limit = Some(RateLimit {
@@ -246,14 +311,8 @@ fn passive_control_keeps_the_golden_streams() {
 
 #[test]
 fn fault_streams_are_reproducible_and_distinct() {
-    use accelflow_core::FaultConfig;
-    let faulty = |_: &()| {
-        nominal_hash_with(Policy::AccelFlow, |cfg| {
-            cfg.faults = FaultConfig::uniform(5.0);
-        })
-    };
-    let (a, events_a) = faulty(&());
-    let (b, events_b) = faulty(&());
+    let (a, events_a) = fault_hash(Policy::AccelFlow);
+    let (b, events_b) = fault_hash(Policy::AccelFlow);
     assert_eq!(a, b, "same-seed fault runs must be byte-identical");
     assert_eq!(events_a, events_b);
     let (baseline, _) = nominal_hash(Policy::AccelFlow);
@@ -267,7 +326,10 @@ fn fault_streams_are_reproducible_and_distinct() {
 fn streams_differ_across_policies() {
     // Sanity for the snapshot itself: distinct policies must produce
     // distinct streams (otherwise the goldens prove nothing).
-    let mut hashes: Vec<u64> = GOLDEN.iter().map(|&(p, _, _)| nominal_hash(p).0).collect();
+    let mut hashes: Vec<u64> = GOLDEN
+        .iter()
+        .map(|&(p, _, _, _)| nominal_hash(p).0)
+        .collect();
     hashes.sort_unstable();
     hashes.dedup();
     assert_eq!(hashes.len(), GOLDEN.len(), "policy streams collided");
