@@ -250,7 +250,10 @@ fn main() {
     // a sharded launch runs only the grid slice and skips it.
     if !shard.is_whole() {
         if clean {
-            println!("\nall nodes clean under the auditor (shard {})", shard.index);
+            println!(
+                "\nall nodes clean under the auditor (shard {})",
+                shard.index
+            );
             return;
         }
         println!("\ninvariant violations detected (shard {})", shard.index);

@@ -238,12 +238,7 @@ fn probe_prefix(
     let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
     timing.set_speedup_scale(cfg.speedup_scale);
     let prefix = accelflow_core::arrivals::poisson_arrivals(
-        services,
-        &lib,
-        &timing,
-        PREFIX_RPS,
-        cfg.warmup,
-        seed,
+        services, &lib, &timing, PREFIX_RPS, cfg.warmup, seed,
     );
     sweep::WarmStart::new(
         cfg.clone(),

@@ -472,21 +472,30 @@ mod tests {
 
     #[test]
     fn shard_env_defaults_and_validates() {
-        with_env(&[("ACCELFLOW_SHARDS", "3"), ("ACCELFLOW_SHARD_INDEX", "2")], || {
-            assert_eq!(Shard::from_env(), Shard { count: 3, index: 2 });
-        });
-        with_env(&[("ACCELFLOW_SHARDS", "0"), ("ACCELFLOW_SHARD_INDEX", "0")], || {
-            assert!(Shard::from_env().is_whole(), "count clamps up to 1");
-        });
+        with_env(
+            &[("ACCELFLOW_SHARDS", "3"), ("ACCELFLOW_SHARD_INDEX", "2")],
+            || {
+                assert_eq!(Shard::from_env(), Shard { count: 3, index: 2 });
+            },
+        );
+        with_env(
+            &[("ACCELFLOW_SHARDS", "0"), ("ACCELFLOW_SHARD_INDEX", "0")],
+            || {
+                assert!(Shard::from_env().is_whole(), "count clamps up to 1");
+            },
+        );
     }
 
     #[test]
     fn out_of_range_shard_index_is_rejected() {
         // catch_unwind instead of should_panic so with_env still
         // restores the process-global vars afterwards.
-        with_env(&[("ACCELFLOW_SHARDS", "2"), ("ACCELFLOW_SHARD_INDEX", "2")], || {
-            assert!(std::panic::catch_unwind(Shard::from_env).is_err());
-        });
+        with_env(
+            &[("ACCELFLOW_SHARDS", "2"), ("ACCELFLOW_SHARD_INDEX", "2")],
+            || {
+                assert!(std::panic::catch_unwind(Shard::from_env).is_err());
+            },
+        );
     }
 
     #[test]

@@ -1,31 +1,26 @@
 //! Cluster-level placement strategies.
 //!
-//! Mirrors the [`Orchestrator`](crate::machine::orchestrator) pattern
-//! one level up: every fleet design the cluster evaluates differs only
-//! in *where the front-end dispatcher sends the next request*, so that
-//! seam is one stateless strategy object per [`BalancerKind`],
-//! consulted once per dispatched arrival. All mutable placement state
-//! (the round-robin cursor, the dispatcher's private RNG stream) lives
-//! in the cluster and is lent to the strategy through a
-//! [`PlacementView`] for the duration of one decision.
+//! Every fleet design the cluster evaluates differs only in *where the
+//! front-end dispatcher sends the next request*, so a strategy is one
+//! [`BalancerKind`] value and placement is one `match`
+//! ([`BalancerKind::pick`]), consulted once per dispatched arrival. All
+//! mutable placement state (the round-robin cursor, the dispatcher's
+//! private RNG stream) lives in the cluster and is lent to `pick` for
+//! the duration of one decision.
 //!
 //! # Contract
 //!
-//! * Implementations are zero-sized and `'static`; construction goes
-//!   through [`balancer_for`], the single site mapping kind to
-//!   behavior.
-//! * [`Balancer::pick`] is consulted with *every* node visible,
-//!   healthy or not; health-based relocation is the cluster's job
-//!   (uniform across strategies), so a strategy stays a pure
-//!   preference function.
-//! * Decisions must be deterministic in `(view, arrival)`: the only
-//!   randomness allowed is the view's seeded RNG stream, which is
+//! * `pick` is consulted with *every* node visible, healthy or not;
+//!   health-based relocation is the cluster's job (uniform across
+//!   strategies), so a strategy stays a pure preference function.
+//! * Decisions are deterministic in their arguments: the only
+//!   randomness allowed is the dispatcher's seeded RNG stream, which is
 //!   isolated from every workload stream (same discipline as fault
 //!   injection), so placement never perturbs per-node event streams.
 
 use accelflow_sim::rng::SimRng;
 
-use crate::arrivals::Arrival;
+use crate::request::ServiceId;
 
 /// The placement strategies the cluster front-end can run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,6 +45,37 @@ impl BalancerKind {
         BalancerKind::LocalityAware,
     ];
 
+    /// Preferred node for an arrival of `service`, given each node's
+    /// in-flight request count (`live`, never empty) and dispatch
+    /// weight (same length). `rr_cursor` is the most recently picked
+    /// node; `rng` is the dispatcher's private stream. Ties and health
+    /// are resolved by the cluster.
+    pub(crate) fn pick(
+        self,
+        live: &[u64],
+        weights: &[f64],
+        rr_cursor: &mut usize,
+        rng: &mut SimRng,
+        service: ServiceId,
+    ) -> usize {
+        match self {
+            BalancerKind::RoundRobin => {
+                *rr_cursor = (*rr_cursor + 1) % live.len();
+                *rr_cursor
+            }
+            BalancerKind::WeightedRandom => rng.weighted_index(weights),
+            // min_by_key keeps the first minimum: ties break to the
+            // lowest node index, deterministically.
+            BalancerKind::LeastLoaded => live
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &l)| l)
+                .map(|(i, _)| i)
+                .expect("cluster has at least one node"),
+            BalancerKind::LocalityAware => service.0 % live.len(),
+        }
+    }
+
     /// Short stable identifier (tables, CI output).
     pub fn name(self) -> &'static str {
         match self {
@@ -67,151 +93,17 @@ impl std::fmt::Display for BalancerKind {
     }
 }
 
-/// The cluster state a strategy may consult for one placement
-/// decision. Borrowed fields stay owned by the cluster model; a
-/// strategy holds nothing across decisions.
-pub struct PlacementView<'a> {
-    /// In-flight request count per node, indexed by node id.
-    pub live: &'a [u64],
-    /// Dispatch weight per node (same length as `live`; uniform when
-    /// the config left weights empty).
-    pub weights: &'a [f64],
-    /// Round-robin cursor: index of the most recently picked node.
-    pub rr_cursor: &'a mut usize,
-    /// The dispatcher's private seeded stream (never shared with
-    /// workload or fault RNGs).
-    pub rng: &'a mut SimRng,
-}
-
-impl PlacementView<'_> {
-    /// Number of nodes in the cluster (never zero).
-    pub fn nodes(&self) -> usize {
-        self.live.len()
-    }
-}
-
-/// One placement strategy. See the module docs for the contract.
-pub trait Balancer: Sync {
-    /// The kind this strategy implements.
-    fn kind(&self) -> BalancerKind;
-
-    /// Preferred node for `arrival`. Must return an index below
-    /// `view.nodes()`; ties and health are resolved by the cluster.
-    fn pick(&self, view: &mut PlacementView<'_>, arrival: &Arrival) -> usize;
-}
-
-struct RoundRobin;
-struct WeightedRandom;
-struct LeastLoaded;
-struct LocalityAware;
-
-impl Balancer for RoundRobin {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::RoundRobin
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, _arrival: &Arrival) -> usize {
-        *view.rr_cursor = (*view.rr_cursor + 1) % view.nodes();
-        *view.rr_cursor
-    }
-}
-
-impl Balancer for WeightedRandom {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::WeightedRandom
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, _arrival: &Arrival) -> usize {
-        view.rng.weighted_index(view.weights)
-    }
-}
-
-impl Balancer for LeastLoaded {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::LeastLoaded
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, _arrival: &Arrival) -> usize {
-        // min_by_key keeps the first minimum: ties break to the lowest
-        // node index, deterministically.
-        view.live
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &live)| live)
-            .map(|(i, _)| i)
-            .expect("cluster has at least one node")
-    }
-}
-
-impl Balancer for LocalityAware {
-    fn kind(&self) -> BalancerKind {
-        BalancerKind::LocalityAware
-    }
-    fn pick(&self, view: &mut PlacementView<'_>, arrival: &Arrival) -> usize {
-        arrival.service.0 % view.nodes()
-    }
-}
-
-/// Maps a kind to its strategy object — the one construction site.
-pub fn balancer_for(kind: BalancerKind) -> &'static dyn Balancer {
-    match kind {
-        BalancerKind::RoundRobin => &RoundRobin,
-        BalancerKind::WeightedRandom => &WeightedRandom,
-        BalancerKind::LeastLoaded => &LeastLoaded,
-        BalancerKind::LocalityAware => &LocalityAware,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Program, ServiceId};
-    use accelflow_accel::queue::TenantId;
-    use accelflow_sim::time::SimTime;
-
-    fn arrival(service: usize) -> Arrival {
-        Arrival {
-            at: SimTime::ZERO,
-            service: ServiceId(service),
-            tenant: TenantId(0),
-            program: Program {
-                steps: Vec::new(),
-                slo_slack: None,
-                priority: 0,
-            },
-        }
-    }
-
-    fn view<'a>(
-        live: &'a [u64],
-        weights: &'a [f64],
-        cursor: &'a mut usize,
-        rng: &'a mut SimRng,
-    ) -> PlacementView<'a> {
-        PlacementView {
-            live,
-            weights,
-            rr_cursor: cursor,
-            rng,
-        }
-    }
-
-    #[test]
-    fn construction_site_agrees_with_kind() {
-        for kind in BalancerKind::ALL {
-            assert_eq!(balancer_for(kind).kind(), kind);
-        }
-    }
 
     #[test]
     fn round_robin_cycles_all_nodes() {
-        let b = balancer_for(BalancerKind::RoundRobin);
-        let live = [0u64; 3];
-        let weights = [1.0; 3];
+        let (live, weights) = ([0u64; 3], [1.0; 3]);
         let (mut cursor, mut rng) = (0usize, SimRng::seed(1));
         let picks: Vec<usize> = (0..6)
             .map(|_| {
-                b.pick(
-                    &mut view(&live, &weights, &mut cursor, &mut rng),
-                    &arrival(0),
-                )
+                BalancerKind::RoundRobin.pick(&live, &weights, &mut cursor, &mut rng, ServiceId(0))
             })
             .collect();
         assert_eq!(picks, vec![1, 2, 0, 1, 2, 0]);
@@ -219,27 +111,24 @@ mod tests {
 
     #[test]
     fn least_loaded_picks_minimum_and_breaks_ties_low() {
-        let b = balancer_for(BalancerKind::LeastLoaded);
-        let weights = [1.0; 4];
+        let (live, weights) = ([5u64, 2, 7, 2], [1.0; 4]);
         let (mut cursor, mut rng) = (0usize, SimRng::seed(1));
-        let live = [5u64, 2, 7, 2];
-        let pick = b.pick(
-            &mut view(&live, &weights, &mut cursor, &mut rng),
-            &arrival(0),
-        );
+        let pick =
+            BalancerKind::LeastLoaded.pick(&live, &weights, &mut cursor, &mut rng, ServiceId(0));
         assert_eq!(pick, 1, "first minimum wins the tie");
     }
 
     #[test]
     fn locality_pins_services_to_home_nodes() {
-        let b = balancer_for(BalancerKind::LocalityAware);
-        let live = [0u64; 3];
-        let weights = [1.0; 3];
+        let (live, weights) = ([0u64; 3], [1.0; 3]);
         let (mut cursor, mut rng) = (0usize, SimRng::seed(1));
         for svc in 0..9 {
-            let pick = b.pick(
-                &mut view(&live, &weights, &mut cursor, &mut rng),
-                &arrival(svc),
+            let pick = BalancerKind::LocalityAware.pick(
+                &live,
+                &weights,
+                &mut cursor,
+                &mut rng,
+                ServiceId(svc),
             );
             assert_eq!(pick, svc % 3, "service {svc} must stay on its home node");
         }
@@ -247,16 +136,14 @@ mod tests {
 
     #[test]
     fn weighted_random_respects_zero_weights_and_seed() {
-        let b = balancer_for(BalancerKind::WeightedRandom);
-        let live = [0u64; 3];
-        let weights = [1.0, 0.0, 3.0];
-        let (mut cursor, mut rng) = (0usize, SimRng::seed(7));
+        let (live, weights) = ([0u64; 3], [1.0, 0.0, 3.0]);
+        let draw = |rng: &mut SimRng| {
+            BalancerKind::WeightedRandom.pick(&live, &weights, &mut 0, rng, ServiceId(0))
+        };
+        let mut rng = SimRng::seed(7);
         let mut counts = [0u32; 3];
         for _ in 0..2000 {
-            counts[b.pick(
-                &mut view(&live, &weights, &mut cursor, &mut rng),
-                &arrival(0),
-            )] += 1;
+            counts[draw(&mut rng)] += 1;
         }
         assert_eq!(counts[1], 0, "zero-weight node must never be picked");
         assert!(
@@ -264,12 +151,6 @@ mod tests {
             "weight-3 node must dominate: {counts:?}"
         );
         // Same seed, same picks: the stream is deterministic.
-        let (mut c2, mut rng2) = (0usize, SimRng::seed(7));
-        let first = b.pick(&mut view(&live, &weights, &mut c2, &mut rng2), &arrival(0));
-        let (mut c3, mut rng3) = (0usize, SimRng::seed(7));
-        assert_eq!(
-            first,
-            b.pick(&mut view(&live, &weights, &mut c3, &mut rng3), &arrival(0))
-        );
+        assert_eq!(draw(&mut SimRng::seed(7)), draw(&mut SimRng::seed(7)));
     }
 }

@@ -4,7 +4,7 @@
 //! The paper evaluates one 36-core server; microservices run on
 //! fleets. This module composes N per-node machines under a single
 //! *front-end dispatcher* that places every arriving request on a node
-//! (a pluggable [`Balancer`] strategy), models the inter-node network
+//! (one of the [`BalancerKind`] strategies), models the inter-node network
 //! ([`NodeLink`]), and keep-alive-polls node health so work is
 //! relocated away from fault-suspended nodes — the cluster-level
 //! mirror of the per-machine sibling re-dispatch in
@@ -60,7 +60,7 @@ mod balancer;
 mod report;
 mod snapshot;
 
-pub use balancer::{balancer_for, Balancer, BalancerKind, PlacementView};
+pub use balancer::BalancerKind;
 pub use report::{ClusterReport, HealthReport};
 pub use snapshot::{ClusterRun, CLUSTER_SNAPSHOT_MAGIC};
 
@@ -191,7 +191,7 @@ struct NodeSlot {
 struct ClusterModel<F> {
     nodes: Vec<NodeSlot>,
     link: NodeLink,
-    balancer: &'static dyn Balancer,
+    balancer: BalancerKind,
     weights: Vec<f64>,
     rr_cursor: usize,
     rng: SimRng,
@@ -216,16 +216,13 @@ impl<F> ClusterModel<F> {
         self.live_scratch.clear();
         self.live_scratch
             .extend(self.nodes.iter().map(|n| n.machine.live_requests()));
-        let balancer = self.balancer;
-        let preferred = {
-            let mut view = PlacementView {
-                live: &self.live_scratch,
-                weights: &self.weights,
-                rr_cursor: &mut self.rr_cursor,
-                rng: &mut self.rng,
-            };
-            balancer.pick(&mut view, &arrival)
-        };
+        let preferred = self.balancer.pick(
+            &self.live_scratch,
+            &self.weights,
+            &mut self.rr_cursor,
+            &mut self.rng,
+            arrival.service,
+        );
         debug_assert!(preferred < self.nodes.len(), "balancer picked {preferred}");
         let (target, hops) = if self.nodes[preferred].suspended {
             // Walk forward from the preferred node to the next healthy

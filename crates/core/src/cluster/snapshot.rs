@@ -24,8 +24,8 @@ use crate::machine::{Ev, Machine};
 use crate::request::ServiceSpec;
 
 use super::{
-    balancer_for, CEv, Cluster, ClusterConfig, ClusterModel, ClusterReport, HealthReport,
-    NodeSlot, DISPATCH_RNG_SALT,
+    CEv, Cluster, ClusterConfig, ClusterModel, ClusterReport, HealthReport, NodeSlot,
+    DISPATCH_RNG_SALT,
 };
 
 /// Leading magic bytes of a cluster snapshot — distinct from the
@@ -66,9 +66,7 @@ impl Snapshot for CEv {
         Ok(match r.u8()? {
             0 => CEv::Node(r.u16()?, Ev::load(r)?),
             1 => CEv::KeepAlive,
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown CEv tag {other}")))
-            }
+            other => return Err(SnapshotError::Corrupt(format!("unknown CEv tag {other}"))),
         })
     }
 }
@@ -160,7 +158,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         let model = ClusterModel {
             nodes,
             link: cfg.link,
-            balancer: balancer_for(cfg.balancer),
+            balancer: cfg.balancer,
             weights,
             rr_cursor: 0,
             rng: SimRng::seed(seed ^ DISPATCH_RNG_SALT),
@@ -262,7 +260,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         let model = ClusterModel {
             nodes,
             link: cfg.link,
-            balancer: balancer_for(cfg.balancer),
+            balancer: cfg.balancer,
             weights,
             rr_cursor,
             rng,

@@ -40,7 +40,7 @@ impl MachineCtx {
             return; // e.g. a response arriving after a timeout
         }
         let (kind, entry) = self.make_entry(now, addr);
-        if self.orch.single_shared_queue() {
+        if self.transition.single_shared_queue() {
             self.shared_queue.push_back(SharedJob { entry, kind });
             self.energy.add_queue_accesses(1);
             self.dispatch_shared(now, queue);
@@ -212,9 +212,9 @@ impl MachineCtx {
             self.bus.stream(now, dram);
             // Designs with a centralized manager bounce Memory-Pointer
             // payloads to it (the final AccelFlow rung moves this into
-            // the dispatchers); the occupancy each design pays is the
-            // orchestrator's call.
-            if let Some(occupancy) = self.orch.spill_manager_occupancy(&self.cfg.arch) {
+            // the dispatchers); the occupancy each design pays comes
+            // from its transition.
+            if let Some(occupancy) = self.transition.spill_occupancy(&self.cfg.arch) {
                 let b = self
                     .manager
                     .acquire(now + self.cfg.arch.manager_latency, occupancy);
@@ -295,7 +295,7 @@ impl MachineCtx {
         let failed = self.pe_job_poisoned(accel as usize, pe as usize);
         self.accels[accel as usize].complete(pe as usize, SimDuration::from_picos(busy_ps));
         // Free PE: more queued work may start.
-        if self.orch.single_shared_queue() {
+        if self.transition.single_shared_queue() {
             self.dispatch_shared(now, queue);
         }
         queue.schedule(SimDuration::ZERO, Ev::TryStart(accel));

@@ -102,7 +102,7 @@ impl MachineCtx {
                     hop: 0,
                     ..addr
                 };
-                if self.orch.cpu_only() {
+                if self.transition.cpu_only() {
                     self.start_segment_on_cpu(now, next_addr, queue);
                 } else {
                     queue.schedule(SimDuration::ZERO, Ev::HopArrive(next_addr));
@@ -125,7 +125,7 @@ impl MachineCtx {
                             par: addr.par,
                         },
                     );
-                } else if self.orch.cpu_only() {
+                } else if self.transition.cpu_only() {
                     queue.schedule_at(now + external, Ev::ExternalArriveCpu(next_addr));
                 } else {
                     queue.schedule_at(now + external, Ev::ExternalArrive(next_addr));

@@ -195,7 +195,7 @@ impl MachineCtx {
             aud.record_call_start(now);
         }
 
-        if self.orch.cpu_only() {
+        if self.transition.cpu_only() {
             self.start_segment_on_cpu(now, addr, queue);
             return;
         }

@@ -27,21 +27,20 @@
 //! # Module map
 //!
 //! The event loop is split by concern; every handler is a method on
-//! [`MachineCtx`], the shared mutable state, and consults the
-//! policy-specific [`Orchestrator`] for every decision that differs
-//! between designs:
+//! `MachineCtx`, the shared mutable state, and consults the policy's
+//! `Transition` for every decision that differs between designs (the
+//! per-policy facts live in [`crate::policy`]'s table):
 //!
 //! | module | owns |
 //! |---|---|
 //! | `lifecycle` | request admission, program steps, call initiation, completion, timeouts |
 //! | `dispatch` | accelerator input queues, the PE inner loop, RELIEF's shared queue |
-//! | `transfer` | core→accelerator submission, inter-hop payload movement, external responses |
+//! | `transfer` | core→accelerator submission, the per-transition orchestration cost, inter-hop payload movement, external responses |
 //! | `fallback` | CPU execution of segments (Non-acc and overflow escape) |
 //! | `resilience` | fault injection and recovery (retry/backoff, sibling re-dispatch, CPU degrade) |
 //! | `scaling` | ingress control (rate limit / admission) and the telemetry-feedback autoscaler |
 //! | `accounting` | latency breakdowns, stats/energy emission, telemetry, audit hooks, reports |
 //! | `snapshot` | versioned checkpoint/restore and the resumable [`MachineRun`] handle |
-//! | [`orchestrator`] | the [`Orchestrator`] trait and its ten per-policy implementations |
 
 mod accounting;
 #[cfg(test)]
@@ -49,7 +48,6 @@ mod control_tests;
 mod dispatch;
 mod fallback;
 mod lifecycle;
-pub mod orchestrator;
 mod resilience;
 mod scaling;
 mod snapshot;
@@ -57,7 +55,6 @@ mod snapshot;
 mod tests;
 mod transfer;
 
-pub use orchestrator::{orchestrator_for, HopInfo, Orchestrator, TransferMode};
 pub use snapshot::{MachineRun, SNAPSHOT_MAGIC};
 
 use std::collections::VecDeque;
@@ -81,7 +78,7 @@ use accelflow_trace::templates::TraceLibrary;
 use crate::arrivals::{poisson_arrivals, Arrival};
 use crate::control::{ControlConfig, ControlState};
 use crate::faults::{FaultClass, FaultConfig, FaultState};
-use crate::policy::Policy;
+use crate::policy::{Policy, Transition};
 use crate::request::{CallAddr, Program, ServiceSpec, Step, TraceCall};
 use crate::stats::{MachineTotals, RunReport, ServiceStats};
 
@@ -273,13 +270,11 @@ pub enum Ev {
 /// request table, and the measurement sinks.
 ///
 /// Event handlers are methods on this type, spread across the
-/// submodules by concern; the [`Orchestrator`] strategies receive a
-/// `&mut MachineCtx` for the policy-specific legs of a transition.
-/// Nothing outside this crate can touch the fields — the type is
-/// public only because [`Orchestrator`] names it in its signatures.
-pub struct MachineCtx {
+/// submodules by concern; every policy-specific decision consults
+/// `transition`, the policy's row of the policy table.
+pub(crate) struct MachineCtx {
     pub(crate) cfg: MachineConfig,
-    pub(crate) orch: &'static dyn Orchestrator,
+    pub(crate) transition: Transition,
     pub(crate) timing: ServiceTimeModel,
     pub(crate) lib: TraceLibrary,
     pub(crate) net: Interconnect,
@@ -341,7 +336,7 @@ impl Machine {
         seed: u64,
     ) -> Self {
         cfg.arch.validate().expect("invalid architecture config");
-        let orch = orchestrator_for(cfg.policy);
+        let row = cfg.policy.row();
         let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
         timing.set_speedup_scale(cfg.speedup_scale);
         timing.set_tax_speed_factor(cfg.arch.generation.tax_factor());
@@ -353,9 +348,7 @@ impl Machine {
         let bus = MemoryBus::new(&cfg.arch);
         let cores = ServerPool::new(cfg.arch.cores);
         let manager = ServerPool::new(1);
-        let queue_policy = cfg
-            .queue_policy_override
-            .unwrap_or_else(|| orch.queue_policy());
+        let queue_policy = cfg.queue_policy_override.unwrap_or(row.queue);
         let instances = cfg.instances_per_accel;
         assert!(
             (1..=16).contains(&instances),
@@ -399,7 +392,7 @@ impl Machine {
         Machine {
             ctx: MachineCtx {
                 cfg,
-                orch,
+                transition: row.transition,
                 timing,
                 lib,
                 net,

@@ -26,8 +26,8 @@ use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::kind::AccelKind;
 
 use crate::arrivals::Arrival;
-use crate::request::{CallAddr, HopExec, Program, Segment, SegmentEnd, ServiceId, Step, TraceCall};
 use crate::request::ServiceSpec;
+use crate::request::{CallAddr, HopExec, Program, Segment, SegmentEnd, ServiceId, Step, TraceCall};
 use crate::stats::{Breakdown, MachineTotals, RunReport, ServiceStats};
 
 use super::accounting::TelState;
@@ -168,9 +168,7 @@ impl Snapshot for Step {
             0 => Step::Cpu { cycles: r.f64()? },
             1 => Step::Call(TraceCall::load(r)?),
             2 => Step::Parallel(Vec::load(r)?),
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown Step tag {other}")))
-            }
+            other => return Err(SnapshotError::Corrupt(format!("unknown Step tag {other}"))),
         })
     }
 }
@@ -367,9 +365,7 @@ impl Snapshot for Ev {
             12 => Ev::FaultInject(crate::faults::FaultClass::load(r)?),
             13 => Ev::StallEnd(r.u8()?),
             14 => Ev::ScaleTick,
-            other => {
-                return Err(SnapshotError::Corrupt(format!("unknown Ev tag {other}")))
-            }
+            other => return Err(SnapshotError::Corrupt(format!("unknown Ev tag {other}"))),
         })
     }
 }
@@ -603,7 +599,11 @@ impl Machine {
     pub fn snapshot(&self, queue: &mut EventQueue<Ev>) -> Vec<u8> {
         let names: Vec<String> = self.ctx.stats.iter().map(|s| s.name.clone()).collect();
         let mut w = SnapWriter::new();
-        write_header(&mut w, SNAPSHOT_MAGIC, Self::config_hash(&self.ctx.cfg, &names));
+        write_header(
+            &mut w,
+            SNAPSHOT_MAGIC,
+            Self::config_hash(&self.ctx.cfg, &names),
+        );
         self.ctx.save_dynamic(&mut w);
         queue.save_snapshot(&mut w);
         w.into_bytes()
@@ -766,8 +766,7 @@ impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
         observe: F,
     ) -> Self {
         let timing = {
-            let mut t =
-                accelflow_accel::timing::ServiceTimeModel::calibrated(cfg.arch.core_clock);
+            let mut t = accelflow_accel::timing::ServiceTimeModel::calibrated(cfg.arch.core_clock);
             t.set_speedup_scale(cfg.speedup_scale);
             t
         };
@@ -840,14 +839,16 @@ impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
         }
         debug_assert!(tail.windows(2).all(|w| w[0].at <= w[1].at), "tail sorted");
         debug_assert!(
-            ctx.arrivals.last().is_none_or(|pending| pending.at <= tail[0].at),
+            ctx.arrivals
+                .last()
+                .is_none_or(|pending| pending.at <= tail[0].at),
             "tail starts after every pending arrival"
         );
         let chain_dead = ctx.arrivals.is_empty();
         let next_idx = ctx.req_slots.len() as u32;
         let first_at = tail[0].at;
         ctx.req_slots
-            .extend(std::iter::repeat(SlotId::INVALID).take(tail.len()));
+            .extend(std::iter::repeat_n(SlotId::INVALID, tail.len()));
         // `arrivals` is stored reversed (earliest at the back, consumed
         // by pop); the appended tail is later than everything pending,
         // so its reversed form goes in front.

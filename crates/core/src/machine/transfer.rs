@@ -4,19 +4,37 @@
 //! [`MachineCtx::after_hop`] is the policy-defining moment of the
 //! model: the completed hop's output must reach its next station (or
 //! the originating core). The *orchestration cost* of the transition
-//! and the *transfer mechanism* both come from the policy's
-//! [`Orchestrator`](super::Orchestrator) — dispatcher glue + A-DMA for
-//! the AccelFlow family, manager interrupts for RELIEF, core
-//! staging for CPU-Centric/Cohort, nothing for Ideal.
+//! ([`MachineCtx::transition_cost`], one `match` over the policy's
+//! [`Transition`]) and the *transfer mechanism*
+//! ([`Transition::transfer_mode`]) both come from the policy table —
+//! dispatcher glue + A-DMA for the AccelFlow family, manager
+//! interrupts for RELIEF, core staging for CPU-Centric/Cohort, nothing
+//! for Ideal.
 
 use accelflow_arch::topology::Endpoint;
 use accelflow_sim::engine::EventQueue;
 use accelflow_sim::telemetry::CompId;
 use accelflow_sim::time::{SimDuration, SimTime};
+use accelflow_trace::kind::AccelKind;
 
+use crate::policy::{cohort_linked, TransferMode, Transition};
 use crate::request::{CallAddr, SegmentEnd};
 
-use super::{Ev, HopInfo, MachineCtx, TransferMode};
+use super::{Ev, MachineCtx};
+
+/// The completed hop, copied out of the request table so the
+/// transition can borrow the machine mutably.
+struct HopInfo {
+    kind: AccelKind,
+    out_bytes: u64,
+    glue_instrs: u32,
+    branches_after: u8,
+    transform_after: bool,
+    fork_after: bool,
+    next_kind: Option<AccelKind>,
+    end: SegmentEnd,
+    has_next_segment: bool,
+}
 
 impl MachineCtx {
     /// Core-side submission of a fresh trace call (non-Non-acc
@@ -36,7 +54,7 @@ impl MachineCtx {
             // The core prepares and submits the trace (Enqueue + A-DMA
             // programming for AccelFlow; heavier software paths for the
             // baselines).
-            let submit = self.orch.submit_cost(&self.cfg.arch);
+            let submit = self.transition.submit_cost(&self.cfg.arch);
             let booking = if submit.is_zero() {
                 None
             } else {
@@ -115,8 +133,7 @@ impl MachineCtx {
         };
 
         // --- Orchestration cost of the transition ---
-        let orch = self.orch;
-        let t = orch.hop_transition(self, now, addr, accel, &info);
+        let t = self.transition_cost(now, addr, accel, &info);
 
         // --- Fork a result copy to the CPU (T6), in parallel ---
         if info.fork_after {
@@ -133,7 +150,7 @@ impl MachineCtx {
             };
             let from = Self::endpoint(info.kind);
             let to = Self::endpoint(next);
-            match orch.transfer_mode(info.kind, next) {
+            match self.transition.transfer_mode(info.kind, next) {
                 TransferMode::Instant => {
                     // Zero-cost orchestration bound: only the raw
                     // interconnect latency, no engine occupancy.
@@ -246,7 +263,7 @@ impl MachineCtx {
                 // AccelFlow: the TCP dispatcher pre-loads the response
                 // trace from the ATM (§IV-B). Baselines: the core will
                 // re-orchestrate when the response interrupt arrives.
-                if orch.preloads_response_trace() {
+                if self.transition.preloads_response_trace() {
                     self.totals.atm_reads += 1;
                     let _ = self.lib.atm_mut().load(accelflow_trace::atm::AtmAddr(0));
                     self.tel_instant(t, CompId::ATM, "atm_read", addr.req);
@@ -281,6 +298,114 @@ impl MachineCtx {
         }
     }
 
+    /// The orchestration cost of the transition after a completed hop:
+    /// may occupy cores or the manager and charges the latency to the
+    /// request. Returns when the payload is ready to move on.
+    fn transition_cost(
+        &mut self,
+        now: SimTime,
+        addr: CallAddr,
+        accel: u8,
+        info: &HopInfo,
+    ) -> SimTime {
+        let arch = &self.cfg.arch;
+        match self.transition {
+            Transition::CpuOnly => unreachable!("Non-acc runs no accelerator hops"),
+            // Completion interrupts the originating core, which then
+            // submits the next invocation.
+            Transition::CoreIrq => {
+                let overhead = arch.cpu_interrupt_overhead + arch.cpu_submit_overhead;
+                self.core_orchestrates(now, addr, overhead)
+            }
+            // RELIEF: every completion interrupts the manager —
+            // interrupt-delivery latency plus serialized decision
+            // occupancy (§VII-A1).
+            Transition::Manager { .. } => {
+                let occupancy = arch.manager_service_time;
+                self.totals.manager_busy += occupancy;
+                self.manager_orchestrates(now, addr, occupancy)
+            }
+            // The output dispatcher executes the glue instructions;
+            // ablation rungs that cannot resolve branches or transforms
+            // locally bounce them to the manager.
+            Transition::Dispatcher {
+                branches,
+                transforms,
+            } => {
+                let td = self.dispatcher_time(info.glue_instrs);
+                self.totals.dispatcher_instrs += info.glue_instrs as u64;
+                self.totals.dispatches += 1;
+                self.energy.add_dispatcher_instrs(info.glue_instrs as u64);
+                self.charge(addr.req, |b| b.orchestration += td);
+                self.tel_span(
+                    now,
+                    CompId::accelerator(accel as u16),
+                    "glue",
+                    td,
+                    addr.req,
+                    info.glue_instrs as u64,
+                );
+                let t = now + td;
+                let needs_manager =
+                    (info.branches_after > 0 && !branches) || (info.transform_after && !transforms);
+                if needs_manager {
+                    let occupancy = self.cfg.arch.manager_fallback_time;
+                    self.manager_orchestrates(t, addr, occupancy)
+                } else {
+                    t
+                }
+            }
+            Transition::Cohort => {
+                if info.next_kind.is_some_and(|n| cohort_linked(info.kind, n)) {
+                    // Producer/consumer software queue in the LLC.
+                    let hand = arch.cycles(2.0 * arch.llc_latency_cycles);
+                    self.charge(addr.req, |bd| bd.orchestration += hand);
+                    now + hand
+                } else {
+                    // Unlinked hops fall back to core orchestration
+                    // (Cohort "otherwise relies on the cores"): the core
+                    // polls the software queue, runs the glue, and
+                    // resubmits — the CPU-Centric software path minus
+                    // the interrupt entry.
+                    let overhead = arch.cohort_queue_overhead + arch.cpu_submit_overhead;
+                    self.core_orchestrates(now, addr, overhead)
+                }
+            }
+            Transition::Free => now,
+        }
+    }
+
+    /// A core spends `overhead` coordinating the request; returns when
+    /// it is done.
+    fn core_orchestrates(
+        &mut self,
+        now: SimTime,
+        addr: CallAddr,
+        overhead: SimDuration,
+    ) -> SimTime {
+        let b = self.cores.acquire(now, overhead);
+        self.energy.add_core_busy(overhead);
+        let spent = b.finish.saturating_since(now);
+        self.charge(addr.req, |bd| bd.orchestration += spent);
+        b.finish
+    }
+
+    /// The manager takes an interrupt at `now` and spends `occupancy`
+    /// deciding; returns when the decision is made.
+    fn manager_orchestrates(
+        &mut self,
+        now: SimTime,
+        addr: CallAddr,
+        occupancy: SimDuration,
+    ) -> SimTime {
+        let after_irq = now + self.cfg.arch.manager_latency;
+        let b = self.manager.acquire(after_irq, occupancy);
+        let spent = b.finish.saturating_since(now);
+        self.charge(addr.req, |bd| bd.orchestration += spent);
+        self.tel_span(b.start, CompId::MANAGER, "manager", occupancy, addr.req, 0);
+        b.finish
+    }
+
     pub(crate) fn on_external_arrive(
         &mut self,
         now: SimTime,
@@ -292,13 +417,9 @@ impl MachineCtx {
         }
         // Response messages re-enter through TCP. In the baselines the
         // core must notice and resubmit the processing chain.
-        if self.orch.resubmits_external_response() {
-            let submit = self.cfg.arch.cpu_submit_overhead;
-            let b = self.cores.acquire(now, submit);
-            self.energy.add_core_busy(submit);
-            let spent = b.finish.saturating_since(now);
-            self.charge(addr.req, |bd| bd.orchestration += spent);
-            queue.schedule_at(b.finish, Ev::HopArrive(addr));
+        if self.transition.resubmits_external_response() {
+            let ready = self.core_orchestrates(now, addr, self.cfg.arch.cpu_submit_overhead);
+            queue.schedule_at(ready, Ev::HopArrive(addr));
         } else {
             queue.schedule(SimDuration::ZERO, Ev::HopArrive(addr));
         }

@@ -19,7 +19,6 @@
 //!   [`Histogram`], counters, and busy-time (utilization) trackers.
 //! - [`resource`] — helpers for modeling pools of identical servers
 //!   (DMA engines, processing elements, CPU cores).
-//! - [`trace_log`] — an event-tracing wrapper for debugging models.
 //! - [`snapshot`] — versioned checkpoint serialization: the
 //!   [`Snapshot`](snapshot::Snapshot) trait and wire format behind
 //!   `Machine::{snapshot,restore}` (see `docs/CHECKPOINT.md`).
@@ -69,7 +68,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace_log;
 
 pub use engine::{EventQueue, Model, Simulation};
 pub use rng::SimRng;
