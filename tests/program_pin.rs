@@ -1,0 +1,95 @@
+//! Sampled-program pins: the FNV-1a hash of a machine snapshot taken
+//! right after [`MachineRun::start`], for each of the three arrival
+//! generators over all eight SocialNetwork services.
+//!
+//! At that instant nothing has run, so the snapshot's pending arrival
+//! list holds every field sampling draws for every request: trace
+//! slots, payload flags, hops with their sizes and glue costs, segment
+//! ends and external delays. A change to how programs are stored must
+//! leave these bytes, and hence the hashes, exactly as they are; a
+//! change to what sampling draws moves them.
+//!
+//! Recapture (only for a deliberate sampling or wire-format change):
+//!
+//! ```text
+//! PROGRAM_PIN_PRINT=1 cargo test --test program_pin -- --nocapture
+//! ```
+
+use accelflow::accel::timing::ServiceTimeModel;
+use accelflow::core::machine::{MachineConfig, MachineRun};
+use accelflow::core::policy::Policy;
+use accelflow::core::{poisson_arrivals, Arrival};
+use accelflow::sim::snapshot::fnv1a;
+use accelflow::sim::time::SimDuration;
+use accelflow::trace::templates::TraceLibrary;
+use accelflow::workloads::arrivals::alibaba_like_arrivals;
+use accelflow::workloads::openloop::{openloop_arrivals, Diurnal};
+use accelflow::workloads::socialnetwork;
+
+const SEED: u64 = 17;
+const RPS: f64 = 4_000.0;
+
+fn window() -> SimDuration {
+    SimDuration::from_millis(6)
+}
+
+fn fixtures() -> (MachineConfig, TraceLibrary, ServiceTimeModel) {
+    let mut cfg = MachineConfig::new(Policy::AccelFlow);
+    // The auditor is on by default in debug builds only; its state is
+    // part of the snapshot, so pin it off to hash the same bytes at
+    // every optimization level.
+    cfg.audit = false;
+    let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
+    timing.set_speedup_scale(cfg.speedup_scale);
+    (cfg, TraceLibrary::standard(), timing)
+}
+
+/// Hashes the snapshot of a run opened over `arrivals`, and checks the
+/// list is big enough to reach every service.
+fn pin(name: &str, arrivals: Vec<Arrival>, expected: u64) {
+    let (cfg, _, _) = fixtures();
+    let services = socialnetwork::all();
+    for (i, svc) in services.iter().enumerate() {
+        assert!(
+            arrivals.iter().any(|a| a.service.0 == i),
+            "{name}: no arrival for {}",
+            svc.name
+        );
+    }
+    let mut run = MachineRun::start(&cfg, &services, arrivals, window(), SEED, |_, _| {});
+    let bytes = run.snapshot();
+    let hash = fnv1a(&bytes);
+    if std::env::var_os("PROGRAM_PIN_PRINT").is_some() {
+        println!("{name}: {} bytes, {hash:#018x}", bytes.len());
+    }
+    assert_eq!(hash, expected, "{name}: sampled programs changed");
+}
+
+#[test]
+fn poisson_programs_are_pinned() {
+    let (_, lib, timing) = fixtures();
+    let arrivals = poisson_arrivals(&socialnetwork::all(), &lib, &timing, RPS, window(), SEED);
+    pin("poisson", arrivals, 0xa166_7aed_4dc4_d57e);
+}
+
+#[test]
+fn bursty_programs_are_pinned() {
+    let (_, lib, timing) = fixtures();
+    let arrivals = alibaba_like_arrivals(&socialnetwork::all(), &lib, &timing, RPS, window(), SEED);
+    pin("alibaba_like", arrivals, 0x9492_49de_3d58_a262);
+}
+
+#[test]
+fn diurnal_programs_are_pinned() {
+    let (_, lib, timing) = fixtures();
+    let arrivals = openloop_arrivals(
+        &Diurnal::day(window(), 0.8),
+        &socialnetwork::all(),
+        &lib,
+        &timing,
+        RPS,
+        window(),
+        SEED,
+    );
+    pin("diurnal", arrivals, 0x85b1_783e_0d1b_f9d0);
+}
