@@ -18,13 +18,9 @@ fn main() {
     for svc in socialnetwork::all() {
         for i in 0..800u64 {
             let p = svc.sample(&lib, &timing, &mut rng, i << 36);
-            for call in p.calls() {
-                for seg in &call.segments {
-                    for hop in &seg.hops {
-                        ins[hop.kind.id() as usize].push(hop.in_bytes);
-                        outs[hop.kind.id() as usize].push(hop.out_bytes);
-                    }
-                }
+            for hop in p.hops() {
+                ins[hop.kind.id() as usize].push(hop.in_bytes);
+                outs[hop.kind.id() as usize].push(hop.out_bytes);
             }
         }
     }

@@ -25,9 +25,8 @@ fn branch_stats(services: &[ServiceSpec]) -> (f64, usize) {
             for c in p.calls() {
                 total += 1;
                 let branches: usize = c
-                    .segments
-                    .iter()
-                    .flat_map(|seg| seg.hops.iter())
+                    .segments()
+                    .flat_map(|seg| seg.hops)
                     .map(|h| h.branches_after as usize)
                     .sum();
                 if branches > 0 {

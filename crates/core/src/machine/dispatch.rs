@@ -48,7 +48,7 @@ impl MachineCtx {
         }
         let from_core = addr.hop == 0 && addr.seg == 0 && {
             let r = self.req(addr.req);
-            !Self::call_of(&r.program, addr.step, addr.par).segments[0].entry_is_network
+            !r.program.segment(addr).entry_is_network
         };
         let (station, outcome) = if from_core {
             self.admit_entry_from_core(now, kind, entry)
@@ -114,17 +114,17 @@ impl MachineCtx {
 
     fn make_entry(&self, now: SimTime, addr: CallAddr) -> (AccelKind, QueueEntry) {
         let r = self.req(addr.req);
-        let call = Self::call_of(&r.program, addr.step, addr.par);
-        let seg = &call.segments[addr.seg as usize];
+        let call = r.program.call(addr.step, addr.par);
+        let seg = call.segment(addr.seg as usize);
         let hop = &seg.hops[addr.hop as usize];
         let entry = QueueEntry {
             request: RequestId(addr.req as u64),
             tenant: r.tenant,
-            trace: Arc::clone(&seg.trace),
+            trace: Arc::clone(seg.trace),
             pm: hop.pm,
             data_bytes: hop.in_bytes,
             flags: seg.flags,
-            vaddr: call.vaddr + ((addr.seg as u64) << 12),
+            vaddr: call.vaddr() + ((addr.seg as u64) << 12),
             deadline: r.deadline,
             priority: r.program.priority,
             enqueued_at: now,

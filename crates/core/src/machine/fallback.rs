@@ -28,9 +28,7 @@ impl MachineCtx {
             return;
         }
         let work = {
-            let r = self.req(addr.req);
-            let call = Self::call_of(&r.program, addr.step, addr.par);
-            let seg = &call.segments[addr.seg as usize];
+            let seg = self.req(addr.req).program.segment(addr);
             seg.hops
                 .iter()
                 .map(|h| self.timing.cpu_time(h.kind, h.in_bytes))
@@ -50,9 +48,7 @@ impl MachineCtx {
         queue: &mut EventQueue<Ev>,
     ) {
         let work = {
-            let r = self.req(addr.req);
-            let call = Self::call_of(&r.program, addr.step, addr.par);
-            let seg = &call.segments[addr.seg as usize];
+            let seg = self.req(addr.req).program.segment(addr);
             seg.hops[addr.hop as usize..]
                 .iter()
                 .map(|h| self.timing.cpu_time(h.kind, h.in_bytes))
@@ -74,12 +70,11 @@ impl MachineCtx {
             return;
         }
         let (end, has_next, is_error) = {
-            let r = self.req(addr.req);
-            let call = Self::call_of(&r.program, addr.step, addr.par);
-            let seg = &call.segments[addr.seg as usize];
+            let call = self.req(addr.req).program.call(addr.step, addr.par);
+            let seg = call.segment(addr.seg as usize);
             (
                 seg.end,
-                (addr.seg as usize + 1) < call.segments.len(),
+                (addr.seg as usize + 1) < call.segment_count(),
                 seg.trace.name() == "report_error",
             )
         };

@@ -105,8 +105,8 @@ impl MachineCtx {
     fn unloaded_estimate(&self, program: &Program) -> SimDuration {
         let mut total = self.cfg.arch.cycles(program.app_cycles() / self.app_factor);
         for call in program.calls() {
-            for seg in &call.segments {
-                for hop in &seg.hops {
+            for seg in call.segments() {
+                for hop in seg.hops {
                     total += self.timing.accel_time(hop.kind, hop.in_bytes);
                 }
                 if let SegmentEnd::AwaitResponse { external } = seg.end {
@@ -120,7 +120,7 @@ impl MachineCtx {
     pub(crate) fn on_start_step(&mut self, now: SimTime, req: u32, queue: &mut EventQueue<Ev>) {
         let (step_idx, done) = {
             let r = self.req(req);
-            (r.step, r.step >= r.program.steps.len())
+            (r.step, r.step >= r.program.step_count())
         };
         if done {
             self.complete_request(now, req);
@@ -130,10 +130,9 @@ impl MachineCtx {
             Cpu(f64),
             Calls(u8),
         }
-        let plan = match &self.req(req).program.steps[step_idx] {
-            Step::Cpu { cycles } => Plan::Cpu(*cycles),
-            Step::Call(_) => Plan::Calls(1),
-            Step::Parallel(cs) => Plan::Calls(cs.len() as u8),
+        let plan = match self.req(req).program.step(step_idx) {
+            Step::Cpu { cycles } => Plan::Cpu(cycles),
+            Step::Calls { calls, .. } => Plan::Calls(calls.len() as u8),
         };
         match plan {
             Plan::Cpu(cycles) => {
@@ -313,12 +312,8 @@ impl MachineCtx {
             let error = r.error;
             // Fig 1 attribution: CPU-equivalent tax per kind + app.
             let mut tax = [SimDuration::ZERO; AccelKind::COUNT];
-            for call in r.program.calls() {
-                for seg in &call.segments {
-                    for hop in &seg.hops {
-                        tax[hop.kind.id() as usize] += self.timing.cpu_time(hop.kind, hop.in_bytes);
-                    }
-                }
+            for hop in r.program.hops() {
+                tax[hop.kind.id() as usize] += self.timing.cpu_time(hop.kind, hop.in_bytes);
             }
             let app = self
                 .cfg

@@ -79,7 +79,7 @@ use crate::arrivals::{poisson_arrivals, Arrival};
 use crate::control::{ControlConfig, ControlState};
 use crate::faults::{FaultClass, FaultConfig, FaultState};
 use crate::policy::{Policy, Transition};
-use crate::request::{CallAddr, Program, ServiceSpec, Step, TraceCall};
+use crate::request::{CallAddr, ServiceSpec};
 use crate::stats::{MachineTotals, RunReport, ServiceStats};
 
 use accounting::TelState;
@@ -601,14 +601,6 @@ impl MachineCtx {
         self.requests
             .get_mut(self.req_slots[idx as usize])
             .expect("request alive")
-    }
-
-    pub(crate) fn call_of(program: &Program, step: u8, par: u8) -> &TraceCall {
-        match &program.steps[step as usize] {
-            Step::Call(c) => c,
-            Step::Parallel(cs) => &cs[par as usize],
-            Step::Cpu { .. } => panic!("addressed a CPU step as a call"),
-        }
     }
 
     pub(crate) fn dispatcher_time(&self, instrs: u32) -> SimDuration {

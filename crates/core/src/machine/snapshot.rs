@@ -27,7 +27,7 @@ use accelflow_trace::kind::AccelKind;
 
 use crate::arrivals::Arrival;
 use crate::request::ServiceSpec;
-use crate::request::{CallAddr, HopExec, Program, Segment, SegmentEnd, ServiceId, Step, TraceCall};
+use crate::request::{CallAddr, Program, ServiceId};
 use crate::stats::{Breakdown, MachineTotals, RunReport, ServiceStats};
 
 use super::accounting::TelState;
@@ -41,7 +41,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"AFSN";
 /// extracted (stragglers complete; matches the pre-checkpoint runner).
 const DRAIN_MARGIN: SimDuration = SimDuration::from_millis(30);
 
-// ----- request-program serialization -----
+// ----- request serialization -----
+//
+// `Program` writes its own wire form next to its flat layout
+// (`request/program.rs`).
 
 impl Snapshot for ServiceId {
     fn save(&self, w: &mut SnapWriter) {
@@ -59,132 +62,6 @@ impl Snapshot for CallAddr {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         Ok(CallAddr::from_tag(r.u64()?))
-    }
-}
-
-impl Snapshot for SegmentEnd {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            SegmentEnd::ToCpu => w.u8(0),
-            SegmentEnd::Continue => w.u8(1),
-            SegmentEnd::AwaitResponse { external } => {
-                w.u8(2);
-                external.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => SegmentEnd::ToCpu,
-            1 => SegmentEnd::Continue,
-            2 => SegmentEnd::AwaitResponse {
-                external: SimDuration::load(r)?,
-            },
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown SegmentEnd tag {other}"
-                )))
-            }
-        })
-    }
-}
-
-impl Snapshot for HopExec {
-    fn save(&self, w: &mut SnapWriter) {
-        self.kind.save(w);
-        self.pm.save(w);
-        w.u64(self.in_bytes);
-        w.u64(self.out_bytes);
-        w.u32(self.glue_instrs);
-        w.u8(self.branches_after);
-        w.bool(self.transform_after);
-        w.bool(self.fork_after);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(HopExec {
-            kind: AccelKind::load(r)?,
-            pm: accelflow_trace::ir::PositionMark::load(r)?,
-            in_bytes: r.u64()?,
-            out_bytes: r.u64()?,
-            glue_instrs: r.u32()?,
-            branches_after: r.u8()?,
-            transform_after: r.bool()?,
-            fork_after: r.bool()?,
-        })
-    }
-}
-
-impl Snapshot for Segment {
-    fn save(&self, w: &mut SnapWriter) {
-        self.trace.save(w);
-        self.flags.save(w);
-        w.bool(self.entry_is_network);
-        self.hops.save(w);
-        self.end.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Segment {
-            trace: std::sync::Arc::load(r)?,
-            flags: accelflow_trace::cond::PayloadFlags::load(r)?,
-            entry_is_network: r.bool()?,
-            hops: Vec::load(r)?,
-            end: SegmentEnd::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for TraceCall {
-    fn save(&self, w: &mut SnapWriter) {
-        self.segments.save(w);
-        w.u64(self.vaddr);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TraceCall {
-            segments: Vec::load(r)?,
-            vaddr: r.u64()?,
-        })
-    }
-}
-
-impl Snapshot for Step {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Step::Cpu { cycles } => {
-                w.u8(0);
-                w.f64(*cycles);
-            }
-            Step::Call(c) => {
-                w.u8(1);
-                c.save(w);
-            }
-            Step::Parallel(cs) => {
-                w.u8(2);
-                cs.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Step::Cpu { cycles: r.f64()? },
-            1 => Step::Call(TraceCall::load(r)?),
-            2 => Step::Parallel(Vec::load(r)?),
-            other => return Err(SnapshotError::Corrupt(format!("unknown Step tag {other}"))),
-        })
-    }
-}
-
-impl Snapshot for Program {
-    fn save(&self, w: &mut SnapWriter) {
-        self.steps.save(w);
-        self.slo_slack.save(w);
-        w.u8(self.priority);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Program {
-            steps: Vec::load(r)?,
-            slo_slack: Option::load(r)?,
-            priority: r.u8()?,
-        })
     }
 }
 

@@ -6,6 +6,7 @@
 //! accelerator's input queue — no CPU involvement.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ir::Trace;
 
@@ -21,6 +22,11 @@ impl fmt::Display for AtmAddr {
 
 /// The on-chip trace memory.
 ///
+/// Stored traces are shared, immutable [`Arc<Trace>`]s: a load hands
+/// out the resident trace itself, so a queue entry that refers to it
+/// costs a reference count, not a copy. Cloning an `Atm` copies the
+/// handles; the read/write counters are per copy.
+///
 /// # Example
 ///
 /// ```
@@ -35,7 +41,7 @@ impl fmt::Display for AtmAddr {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Atm {
-    entries: Vec<Option<Trace>>,
+    entries: Vec<Option<Arc<Trace>>>,
     reads: u64,
     writes: u64,
 }
@@ -59,12 +65,14 @@ impl Atm {
         }
     }
 
-    /// Stores `trace` in the first free entry.
+    /// Stores `trace` (a [`Trace`] or an already shared
+    /// [`Arc<Trace>`]) in the first free entry.
     ///
     /// # Errors
     ///
-    /// Returns the trace back if the ATM is full.
-    pub fn store(&mut self, trace: Trace) -> Result<AtmAddr, Trace> {
+    /// Returns the shared trace back if the ATM is full.
+    pub fn store(&mut self, trace: impl Into<Arc<Trace>>) -> Result<AtmAddr, Arc<Trace>> {
+        let trace = trace.into();
         match self.entries.iter().position(Option::is_none) {
             Some(i) => {
                 self.entries[i] = Some(trace);
@@ -76,29 +84,32 @@ impl Atm {
     }
 
     /// Stores `trace` at a specific address, replacing any previous
-    /// occupant (returned).
+    /// occupant. Returns this ATM's handle to the previous occupant;
+    /// the trace itself lives on while other handles share it.
     ///
     /// # Panics
     ///
     /// Panics if the address is beyond capacity.
-    pub fn store_at(&mut self, addr: AtmAddr, trace: Trace) -> Option<Trace> {
+    pub fn store_at(&mut self, addr: AtmAddr, trace: impl Into<Arc<Trace>>) -> Option<Arc<Trace>> {
         self.writes += 1;
-        self.entries[addr.0 as usize].replace(trace)
+        self.entries[addr.0 as usize].replace(trace.into())
     }
 
     /// Loads the trace at `addr`, counting the access.
-    pub fn load(&mut self, addr: AtmAddr) -> Option<&Trace> {
+    pub fn load(&mut self, addr: AtmAddr) -> Option<&Arc<Trace>> {
         self.reads += 1;
         self.entries.get(addr.0 as usize).and_then(Option::as_ref)
     }
 
     /// Looks at the trace at `addr` without counting an access.
-    pub fn peek(&self, addr: AtmAddr) -> Option<&Trace> {
+    pub fn peek(&self, addr: AtmAddr) -> Option<&Arc<Trace>> {
         self.entries.get(addr.0 as usize).and_then(Option::as_ref)
     }
 
-    /// Frees the entry at `addr`, returning its occupant.
-    pub fn free(&mut self, addr: AtmAddr) -> Option<Trace> {
+    /// Frees the entry at `addr`. Returns this ATM's handle to its
+    /// occupant; the trace itself lives on while other handles share
+    /// it.
+    pub fn free(&mut self, addr: AtmAddr) -> Option<Arc<Trace>> {
         self.entries.get_mut(addr.0 as usize).and_then(Option::take)
     }
 

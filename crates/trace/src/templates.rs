@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::atm::{Atm, AtmAddr};
 use crate::builder::TraceBuilder;
@@ -152,6 +153,12 @@ pub type ConnectivityMatrix = BTreeMap<AccelKind, (BTreeSet<Neighbor>, BTreeSet<
 /// The assembled trace library: entry traces plus the ATM pre-populated
 /// with message-triggered continuations.
 ///
+/// Every trace is a shared, immutable [`Arc<Trace>`], and a
+/// message-triggered template's entry *is* its ATM-resident trace.
+/// Sampled requests refer to these traces rather than copying them,
+/// the way a queue entry refers to a trace resident in the ATM
+/// (paper §IV-A).
+///
 /// # Example
 ///
 /// ```
@@ -165,8 +172,8 @@ pub type ConnectivityMatrix = BTreeMap<AccelKind, (BTreeSet<Neighbor>, BTreeSet<
 #[derive(Clone, Debug)]
 pub struct TraceLibrary {
     atm: Atm,
-    entries: BTreeMap<TemplateId, Trace>,
-    cmp_variants: BTreeMap<TemplateId, Trace>,
+    entries: BTreeMap<TemplateId, Arc<Trace>>,
+    cmp_variants: BTreeMap<TemplateId, Arc<Trace>>,
     addrs: BTreeMap<TemplateId, AtmAddr>,
     error_addr: AtmAddr,
 }
@@ -177,10 +184,10 @@ impl TraceLibrary {
     /// The build walks every template through the trace compiler, so
     /// it is far too expensive for a per-simulation hot path (the
     /// harness constructs one library per probe). The first call does
-    /// the real build; later calls clone a memoized copy, which is two
-    /// orders of magnitude cheaper. Callers still own an independent
-    /// library (ATM occupancy counters and all), so mutation stays
-    /// simulation-local.
+    /// the real build; later calls clone a memoized copy, which copies
+    /// trace handles, not traces. The traces are shared immutable
+    /// `Arc`s; only the ATM's access counters are per copy, so counting
+    /// stays simulation-local.
     pub fn standard() -> Self {
         static STANDARD: std::sync::OnceLock<TraceLibrary> = std::sync::OnceLock::new();
         STANDARD
@@ -216,7 +223,8 @@ impl TraceLibrary {
                 |b| b.seq([Ldb]).to_cpu(),
             )
             .build();
-        let t7_addr = atm.store(t7.clone()).expect("ATM too small");
+        let t7 = Arc::new(t7);
+        let t7_addr = atm.store(Arc::clone(&t7)).expect("ATM too small");
         addrs.insert(TemplateId::T7, t7_addr);
 
         // T10: receive RPC response.
@@ -232,7 +240,8 @@ impl TraceLibrary {
                 },
             )
             .build();
-        let t10_addr = atm.store(t10.clone()).expect("ATM too small");
+        let t10 = Arc::new(t10);
+        let t10_addr = atm.store(Arc::clone(&t10)).expect("ATM too small");
         addrs.insert(TemplateId::T10, t10_addr);
 
         // T6: receive response to a read to the DB. Found → maybe
@@ -254,7 +263,8 @@ impl TraceLibrary {
                 |b| b.next_trace(error_addr),
             )
             .build();
-        let t6_addr = atm.store(t6.clone()).expect("ATM too small");
+        let t6 = Arc::new(t6);
+        let t6_addr = atm.store(Arc::clone(&t6)).expect("ATM too small");
         addrs.insert(TemplateId::T6, t6_addr);
 
         // T5: receive response to a read to the DB cache. Hit → maybe
@@ -272,7 +282,8 @@ impl TraceLibrary {
                 |b| b.seq([Ser, Encr, Tcp]).next_trace(t6_addr),
             )
             .build();
-        let t5_addr = atm.store(t5.clone()).expect("ATM too small");
+        let t5 = Arc::new(t5);
+        let t5_addr = atm.store(Arc::clone(&t5)).expect("ATM too small");
         addrs.insert(TemplateId::T5, t5_addr);
 
         // T12: receive HTTP response (errors handled by the CPU).
@@ -282,11 +293,12 @@ impl TraceLibrary {
             .seq([Ldb])
             .to_cpu()
             .build();
-        let t12_addr = atm.store(t12.clone()).expect("ATM too small");
+        let t12 = Arc::new(t12);
+        let t12_addr = atm.store(Arc::clone(&t12)).expect("ATM too small");
         addrs.insert(TemplateId::T12, t12_addr);
 
-        let mut entries = BTreeMap::new();
-        let mut cmp_variants = BTreeMap::new();
+        let mut entries: BTreeMap<TemplateId, Arc<Trace>> = BTreeMap::new();
+        let mut cmp_variants: BTreeMap<TemplateId, Arc<Trace>> = BTreeMap::new();
 
         // T1: receive function request (Fig 4a / Listing 1).
         entries.insert(
@@ -300,7 +312,8 @@ impl TraceLibrary {
                 )
                 .seq([Ldb])
                 .to_cpu()
-                .build(),
+                .build()
+                .into(),
         );
         // T2 / T3: send function response (Fig 2a), without / with Cmp.
         entries.insert(
@@ -308,14 +321,16 @@ impl TraceLibrary {
             TraceBuilder::new("T2")
                 .seq([Ser, Rpc, Encr, Tcp])
                 .to_cpu()
-                .build(),
+                .build()
+                .into(),
         );
         entries.insert(
             TemplateId::T3,
             TraceBuilder::new("T3")
                 .seq([Cmp, Ser, Rpc, Encr, Tcp])
                 .to_cpu()
-                .build(),
+                .build()
+                .into(),
         );
         // T4: send read request to the DB cache (Fig 2b), arming T5.
         entries.insert(
@@ -323,7 +338,8 @@ impl TraceLibrary {
             TraceBuilder::new("T4")
                 .seq([Ser, Encr, Tcp])
                 .next_trace(t5_addr)
-                .build(),
+                .build()
+                .into(),
         );
         entries.insert(TemplateId::T5, t5);
         entries.insert(TemplateId::T6, t6);
@@ -334,14 +350,16 @@ impl TraceLibrary {
             TraceBuilder::new("T8")
                 .seq([Ser, Encr, Tcp])
                 .next_trace(t7_addr)
-                .build(),
+                .build()
+                .into(),
         );
         cmp_variants.insert(
             TemplateId::T8,
             TraceBuilder::new("T8+Cmp")
                 .seq([Cmp, Ser, Encr, Tcp])
                 .next_trace(t7_addr)
-                .build(),
+                .build()
+                .into(),
         );
         // T9: send RPC request, arming T10.
         entries.insert(
@@ -349,14 +367,16 @@ impl TraceLibrary {
             TraceBuilder::new("T9")
                 .seq([Ser, Rpc, Encr, Tcp])
                 .next_trace(t10_addr)
-                .build(),
+                .build()
+                .into(),
         );
         cmp_variants.insert(
             TemplateId::T9,
             TraceBuilder::new("T9+Cmp")
                 .seq([Cmp, Ser, Rpc, Encr, Tcp])
                 .next_trace(t10_addr)
-                .build(),
+                .build()
+                .into(),
         );
         entries.insert(TemplateId::T10, t10);
         // T11: send HTTP request, arming T12.
@@ -365,14 +385,16 @@ impl TraceLibrary {
             TraceBuilder::new("T11")
                 .seq([Ser, Encr, Tcp])
                 .next_trace(t12_addr)
-                .build(),
+                .build()
+                .into(),
         );
         cmp_variants.insert(
             TemplateId::T11,
             TraceBuilder::new("T11+Cmp")
                 .seq([Cmp, Ser, Encr, Tcp])
                 .next_trace(t12_addr)
-                .build(),
+                .build()
+                .into(),
         );
         entries.insert(TemplateId::T12, t12);
 
@@ -386,14 +408,14 @@ impl TraceLibrary {
     }
 
     /// The entry trace of a template.
-    pub fn entry(&self, id: TemplateId) -> &Trace {
+    pub fn entry(&self, id: TemplateId) -> &Arc<Trace> {
         &self.entries[&id]
     }
 
     /// The with-compression variant of T8/T9/T11 (other templates
     /// return their base form — T1/T5/T6/T10/T12 branch at run time,
     /// and T3 *is* T2's compressed form).
-    pub fn entry_with_cmp(&self, id: TemplateId) -> &Trace {
+    pub fn entry_with_cmp(&self, id: TemplateId) -> &Arc<Trace> {
         self.cmp_variants.get(&id).unwrap_or_else(|| self.entry(id))
     }
 
@@ -654,6 +676,30 @@ mod tests {
             assert!(!src.is_empty(), "{kind} has no sources");
             assert!(!dst.is_empty(), "{kind} has no destinations");
         }
+    }
+
+    #[test]
+    fn copies_share_traces_but_count_atm_accesses_apart() {
+        let lib = TraceLibrary::standard();
+        let mut copy = TraceLibrary::standard();
+        for id in TemplateId::ALL {
+            assert!(Arc::ptr_eq(lib.entry(id), copy.entry(id)), "{id}");
+            assert!(
+                Arc::ptr_eq(lib.entry_with_cmp(id), copy.entry_with_cmp(id)),
+                "{id}"
+            );
+            // A message-triggered template's entry is its ATM resident.
+            if let Some(addr) = lib.addr(id) {
+                assert!(
+                    Arc::ptr_eq(lib.entry(id), lib.atm().peek(addr).unwrap()),
+                    "{id}"
+                );
+            }
+        }
+        let reads = lib.atm().reads();
+        copy.atm_mut().load(lib.error_addr()).unwrap();
+        assert_eq!(copy.atm().reads(), reads + 1);
+        assert_eq!(lib.atm().reads(), reads, "counters are per copy");
     }
 
     #[test]

@@ -131,12 +131,8 @@ mod tests {
                 for i in 0..80u64 {
                     let p = svc.sample(&lib, &timing, &mut rng, i << 36);
                     app += p.app_cycles();
-                    for c in p.calls() {
-                        for seg in &c.segments {
-                            for hop in &seg.hops {
-                                tax += timing.cpu_cycles(hop.kind, hop.in_bytes);
-                            }
-                        }
+                    for hop in p.hops() {
+                        tax += timing.cpu_cycles(hop.kind, hop.in_bytes);
                     }
                 }
             }

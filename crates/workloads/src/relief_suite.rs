@@ -79,7 +79,7 @@ mod tests {
             let p = app.sample(&lib, &timing, &mut rng, (i as u64) << 36);
             let calls: Vec<_> = p.calls().collect();
             assert_eq!(calls.len(), 1, "{}", app.name);
-            let seg = &calls[0].segments[0];
+            let seg = calls[0].segment(0);
             assert!(!seg.entry_is_network, "coarse chains are core-initiated");
             assert!(
                 seg.hops.iter().all(|h| h.branches_after == 0),
@@ -98,7 +98,7 @@ mod tests {
         let mut rng = SimRng::seed(2);
         let p = all()[0].sample(&lib, &timing, &mut rng, 0);
         let call = p.calls().next().unwrap();
-        for hop in &call.segments[0].hops {
+        for hop in call.segment(0).hops {
             let t = timing.accel_time(hop.kind, hop.in_bytes);
             assert!(t.as_micros_f64() > 20.0, "stage {} only {t}", hop.kind);
         }

@@ -296,7 +296,7 @@ mod tests {
             for i in 0..50 {
                 let program = svc.sample(&lib, &timing, &mut rng, (i as u64) << 32);
                 for call in program.calls() {
-                    for seg in &call.segments {
+                    for seg in call.segments() {
                         total += 1;
                         if seg.hops.iter().any(|h| h.branches_after > 0) {
                             with_branch += 1;

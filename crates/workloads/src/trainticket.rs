@@ -140,7 +140,7 @@ mod tests {
             for i in 0..120u64 {
                 let p = svc.sample(&lib, &timing, &mut rng, i << 36);
                 for c in p.calls() {
-                    for seg in &c.segments {
+                    for seg in c.segments() {
                         total += 1;
                         if seg.hops.iter().any(|h| h.branches_after > 0) {
                             with += 1;

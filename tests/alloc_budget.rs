@@ -1,0 +1,225 @@
+//! Heap-block budget of sampled programs.
+//!
+//! A sampled [`Program`] keeps all of its hops in one exact-size slice
+//! with small index records for segments, calls and steps, and refers
+//! to the trace library's shared traces instead of copying them. So,
+//! whatever its shape, a program owns at most [`BLOCKS`] heap blocks,
+//! and cloning an arrival allocates at most that many. This binary
+//! counts heap blocks with its own global allocator to hold both
+//! bounds, and checks that sampled segments share the library's
+//! `Arc<Trace>`s.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use accelflow::accel::queue::TenantId;
+use accelflow::accel::timing::ServiceTimeModel;
+use accelflow::core::request::{CallSpec, FlagProbs, Program, ServiceSpec, StageSpec};
+use accelflow::core::{Arrival, ServiceId};
+use accelflow::sim::rng::SimRng;
+use accelflow::sim::time::{Frequency, SimTime};
+use accelflow::trace::templates::{TemplateId, TraceLibrary};
+use accelflow::workloads::socialnetwork;
+
+/// Heap blocks one program may own.
+const BLOCKS: i64 = 4;
+
+thread_local! {
+    /// Allocations (reallocations included) made by this thread.
+    static ALLOCS: Cell<i64> = const { Cell::new(0) };
+    /// Heap blocks this thread allocated minus those it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread so the test harness's
+/// other threads do not disturb a measurement.
+struct Counting;
+
+fn bump(allocs: i64, live: i64) {
+    // Counters are const-initialized without destructors, so access
+    // never allocates; `try_with` only fails during thread teardown.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
+    let _ = LIVE.try_with(|c| c.set(c.get() + live));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counters publish no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(1, 1);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(1, 1);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(0, -1);
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(1, 0);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f`, returning its result with the allocations it made and the
+/// heap blocks it left live.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, i64, i64) {
+    let (a0, l0) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
+    let out = f();
+    let (a1, l1) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
+    (out, a1 - a0, l1 - l0)
+}
+
+fn fixtures() -> (TraceLibrary, ServiceTimeModel) {
+    (
+        TraceLibrary::standard(),
+        ServiceTimeModel::calibrated(Frequency::from_ghz(2.4)),
+    )
+}
+
+/// A T4 read that misses the DB cache and finds the record: T4 → T5 →
+/// T6 → T7, four chained segments.
+fn miss_chain() -> CallSpec {
+    CallSpec::new(TemplateId::T4).with_flags(FlagProbs {
+        hit: 0.0,
+        found: 1.0,
+        exception: 0.0,
+        ..FlagProbs::default()
+    })
+}
+
+fn budget_cases() -> Vec<ServiceSpec> {
+    let mut cases = socialnetwork::all();
+    cases.push(ServiceSpec::new(
+        "fan-out",
+        vec![
+            StageSpec::Call(CallSpec::new(TemplateId::T1)),
+            StageSpec::Parallel(vec![CallSpec::new(TemplateId::T9); 8]),
+            StageSpec::Call(CallSpec::new(TemplateId::T2)),
+        ],
+    ));
+    cases.push(ServiceSpec::new(
+        "miss-chain",
+        vec![StageSpec::Call(miss_chain())],
+    ));
+    cases
+}
+
+#[test]
+fn a_sampled_program_owns_at_most_four_blocks() {
+    let (lib, timing) = fixtures();
+    let mut rng = SimRng::seed(3);
+    // The first sample on a thread sizes the sampler's reusable
+    // staging lists; every later program costs only its own blocks.
+    let _ = socialnetwork::compose_post().sample(&lib, &timing, &mut rng, 0);
+    for svc in budget_cases() {
+        for i in 0..20u64 {
+            let (program, _, live) = counted(|| svc.sample(&lib, &timing, &mut rng, i << 24));
+            assert!(
+                live <= BLOCKS,
+                "{}: a sampled program holds {live} heap blocks",
+                svc.name
+            );
+            let ((), _, freed) = counted(|| drop(program));
+            assert_eq!(freed, -live, "{}: dropping frees every block", svc.name);
+        }
+    }
+}
+
+#[test]
+fn budget_cases_reach_their_shapes() {
+    let (lib, timing) = fixtures();
+    let mut rng = SimRng::seed(5);
+    let cases = budget_cases();
+    let fan_out = cases[cases.len() - 2].sample(&lib, &timing, &mut rng, 0);
+    assert_eq!(fan_out.calls().len(), 10, "T1, eight T9 arms, T2");
+    let chain = cases[cases.len() - 1].sample(&lib, &timing, &mut rng, 0);
+    let call = chain.calls().next().expect("one call");
+    assert_eq!(call.segment_count(), 4, "T4 → T5 → T6 → T7");
+}
+
+#[test]
+fn cloning_an_arrival_allocates_at_most_four_blocks() {
+    let (lib, timing) = fixtures();
+    let mut rng = SimRng::seed(7);
+    for svc in budget_cases() {
+        let arrival = Arrival {
+            at: SimTime::ZERO,
+            service: ServiceId(0),
+            tenant: TenantId(0),
+            program: svc.sample(&lib, &timing, &mut rng, 0),
+        };
+        let (copy, allocs, _) = counted(|| arrival.clone());
+        assert!(
+            allocs <= BLOCKS,
+            "{}: clone made {allocs} allocations",
+            svc.name
+        );
+        assert_eq!(
+            copy.program.accelerator_invocations(),
+            arrival.program.accelerator_invocations()
+        );
+    }
+}
+
+/// The traces of a program's single call, segment by segment.
+fn segment_traces(program: &Program) -> Vec<Arc<accelflow::trace::ir::Trace>> {
+    let call = program.calls().next().expect("one call");
+    call.segments().map(|s| Arc::clone(s.trace)).collect()
+}
+
+fn sample_one(lib: &TraceLibrary, spec: CallSpec) -> Program {
+    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
+    let svc = ServiceSpec::new("one", vec![StageSpec::Call(spec)]);
+    svc.sample(lib, &timing, &mut SimRng::seed(11), 0)
+}
+
+#[test]
+fn sampled_segments_share_the_library_traces() {
+    let lib = TraceLibrary::standard();
+    let resident = |id: TemplateId| lib.atm().peek(lib.addr(id).expect("ATM-resident"));
+
+    // Template entries.
+    let t1 = segment_traces(&sample_one(&lib, CallSpec::new(TemplateId::T1)));
+    assert!(Arc::ptr_eq(&t1[0], lib.entry(TemplateId::T1)));
+
+    // Cmp variants, and the response trace they arm in the ATM.
+    let t9 = segment_traces(&sample_one(
+        &lib,
+        CallSpec::new(TemplateId::T9).with_cmp_prob(1.0),
+    ));
+    assert!(Arc::ptr_eq(&t9[0], lib.entry_with_cmp(TemplateId::T9)));
+    assert!(!Arc::ptr_eq(&t9[0], lib.entry(TemplateId::T9)));
+    assert!(Arc::ptr_eq(&t9[1], resident(TemplateId::T10).unwrap()));
+
+    // ATM chain targets: T5, T6 and T7 come straight from the ATM, and
+    // are the very traces the library lists as those templates.
+    let chain = segment_traces(&sample_one(&lib, miss_chain()));
+    assert!(Arc::ptr_eq(&chain[0], lib.entry(TemplateId::T4)));
+    for (seg, id) in chain[1..]
+        .iter()
+        .zip([TemplateId::T5, TemplateId::T6, TemplateId::T7])
+    {
+        assert!(Arc::ptr_eq(seg, resident(id).unwrap()), "{id}");
+        assert!(Arc::ptr_eq(seg, lib.entry(id)), "{id}");
+    }
+
+    // Every copy of the standard library shares the same traces.
+    let other = TraceLibrary::standard();
+    for id in TemplateId::ALL {
+        assert!(Arc::ptr_eq(lib.entry(id), other.entry(id)), "{id}");
+    }
+}

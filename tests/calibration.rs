@@ -104,7 +104,7 @@ fn branchy_sequence_fraction() {
         for i in 0..60u64 {
             let p = svc.sample(&lib, &timing, &mut rng, i << 36);
             for call in p.calls() {
-                for seg in &call.segments {
+                for seg in call.segments() {
                     total += 1;
                     if seg.hops.iter().any(|h| h.branches_after > 0) {
                         with += 1;

@@ -288,19 +288,20 @@ mod workload_properties {
             spec.payload = accelflow::core::request::SizeDist::new(median, 0.6, 1 << 20);
             spec.flags.compressed = compressed;
             spec.flags.hit = hit;
-            let call = sample_call(&lib, &timing, &mut call_rng, &spec, 0x4200_0000);
+            let program = sample_call(&lib, &timing, &mut call_rng, &spec, 0x4200_0000);
+            let call = program.calls().next().expect("one call");
 
-            assert!(!call.segments.is_empty(), "case {case}");
-            for (si, seg) in call.segments.iter().enumerate() {
+            assert!(call.segment_count() > 0, "case {case}");
+            for (si, seg) in call.segments().enumerate() {
                 assert!(!seg.hops.is_empty(), "case {case} {template} segment {si}");
                 for w in seg.hops.windows(2) {
                     assert_eq!(w[0].out_bytes, w[1].in_bytes, "case {case}: sizes chain");
                 }
-                for hop in &seg.hops {
+                for hop in seg.hops {
                     assert!(hop.glue_instrs >= 15, "case {case}: dispatcher floor");
                     assert!(hop.in_bytes >= 1, "case {case}");
                 }
-                let last = si + 1 == call.segments.len();
+                let last = si + 1 == call.segment_count();
                 match seg.end {
                     SegmentEnd::ToCpu => assert!(last, "case {case}: ToCpu must be final"),
                     SegmentEnd::Continue | SegmentEnd::AwaitResponse { .. } => {
