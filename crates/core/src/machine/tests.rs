@@ -35,7 +35,10 @@ mod runs {
     }
 
     fn quick_run(policy: Policy, rps: f64) -> RunReport {
-        let mut cfg = MachineConfig::new(policy);
+        quick_run_with(MachineConfig::new(policy), rps)
+    }
+
+    fn quick_run_with(mut cfg: MachineConfig, rps: f64) -> RunReport {
         cfg.warmup = SimDuration::from_millis(2);
         Machine::run_workload(
             &cfg,
@@ -288,8 +291,15 @@ mod runs {
 
     #[test]
     fn audit_runs_and_comes_back_clean() {
-        let r = quick_run(Policy::AccelFlow, 1_000.0);
-        assert!(r.audit.enabled, "debug builds audit by default");
+        #[cfg(debug_assertions)]
+        assert!(
+            MachineConfig::new(Policy::AccelFlow).audit,
+            "debug builds audit by default"
+        );
+        let mut cfg = MachineConfig::new(Policy::AccelFlow);
+        cfg.audit = true;
+        let r = quick_run_with(cfg, 1_000.0);
+        assert!(r.audit.enabled);
         assert!(r.audit.checks > 1_000, "checks ran: {}", r.audit.checks);
         assert!(r.audit.is_clean(), "{:?}", r.audit.violations);
         // Opting out produces an inert report.
