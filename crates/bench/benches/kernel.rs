@@ -143,7 +143,6 @@ fn bench_schedule_pop(c: &mut Criterion) {
     c.bench_function("engine/schedule_pop_100k", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(Sink);
-            sim.queue_mut().reserve(100_000);
             let mut x = 0x9E3779B97F4A7C15u64;
             for i in 0..100_000u64 {
                 x ^= x << 13;

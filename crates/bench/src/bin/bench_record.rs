@@ -134,7 +134,6 @@ fn bench_schedule_pop() -> Measure {
     best_of("engine_schedule_pop_400k", || {
         let mut sim = Simulation::new(Drain);
         let q = sim.queue_mut();
-        q.reserve(400_000);
         // Pseudo-random arrival pattern (LCG) with same-time bursts.
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for i in 0..400_000u64 {

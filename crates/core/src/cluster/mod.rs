@@ -19,18 +19,18 @@
 //! causality (dispatch, relocation, health) needs no clock
 //! synchronization protocol — there is only one clock.
 //!
-//! Each node keeps a private *scratch* [`EventQueue`] whose only job
-//! is to satisfy [`Machine::handle`]'s signature: before a node event
-//! is forwarded, the scratch clock is [`sync_to`] the outer clock;
-//! after the handler returns, everything it scheduled is
-//! [`drain_pending`]ed into the outer queue, tagged with the node id.
-//! Within one handler call the drain yields events in exactly the
-//! `(time, insertion order)` sequence the machine's own kernel would
-//! have used, and re-sequencing a sorted batch into the outer queue
-//! preserves that order; across calls, batches stay contiguous. A
-//! one-node cluster over a [`NodeLink::zero`] link is therefore
-//! **byte-identical** to a bare [`Machine`] run — the golden
-//! differential tests pin this.
+//! Machine handlers schedule through [`Schedule`], not a concrete
+//! queue. For each node event the cluster builds a `NodeSink` that
+//! clamps past-time schedules to the outer clock (counting them
+//! against the node), tags each event with the node id and pushes it
+//! straight into the outer queue. An [`Ev::Arrive`] handler's
+//! schedules are held in one reused `Vec` until the admission chain
+//! has placed the next arrival, because a bare machine's `on_arrive`
+//! schedules the next arrival first. Same-instant events therefore
+//! reach the outer queue in the order the machine's own kernel would
+//! have seen them, and handler calls never interleave. A one-node
+//! cluster over a [`NodeLink::zero`] link is **byte-identical** to a
+//! bare [`Machine`] run — the golden differential tests pin this.
 //!
 //! # Admission chain
 //!
@@ -52,9 +52,6 @@
 //! salted off the run seed, so placement decisions never perturb any
 //! node's event stream and runs are byte-deterministic at any host
 //! thread count. See `docs/CLUSTER.md`.
-//!
-//! [`sync_to`]: EventQueue::sync_to
-//! [`drain_pending`]: EventQueue::drain_pending
 
 mod balancer;
 mod report;
@@ -65,7 +62,7 @@ pub use report::{ClusterReport, HealthReport};
 pub use snapshot::{ClusterRun, CLUSTER_SNAPSHOT_MAGIC};
 
 use accelflow_accel::timing::ServiceTimeModel;
-use accelflow_sim::engine::{EventQueue, Model};
+use accelflow_sim::engine::{EventQueue, Model, Schedule};
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::templates::TraceLibrary;
@@ -177,14 +174,49 @@ enum CEv {
     KeepAlive,
 }
 
-/// One node: its machine plus the persistent scratch queue adapting
-/// [`Machine::handle`] to the shared outer kernel.
+/// One node: its machine plus its fleet-side bookkeeping.
 struct NodeSlot {
     machine: Machine,
-    scratch: EventQueue<Ev>,
+    /// Past-time schedules this node's handlers made, clamped by its
+    /// [`NodeSink`] before they reach the outer queue.
+    clamped: u64,
     /// Set by the keep-alive poll while the node looks dark; the
     /// dispatcher routes around suspended nodes.
     suspended: bool,
+}
+
+/// One node's view of the outer queue for the length of one handler
+/// call: clamps past-time schedules to the outer clock (counting them
+/// against the node), tags each event with the node id, and pushes it
+/// straight into the outer queue. While an [`Ev::Arrive`] is handled,
+/// schedules are held in `held` instead, so the caller can chain the
+/// next global arrival first — the order a bare machine's `on_arrive`
+/// schedules in.
+struct NodeSink<'a> {
+    outer: &'a mut EventQueue<CEv>,
+    node: u16,
+    clamped: &'a mut u64,
+    held: Option<&'a mut Vec<(SimTime, Ev)>>,
+}
+
+impl Schedule<Ev> for NodeSink<'_> {
+    #[inline]
+    fn now(&self) -> SimTime {
+        self.outer.now()
+    }
+
+    #[inline]
+    fn schedule_at(&mut self, at: SimTime, event: Ev) {
+        let now = self.outer.now();
+        if at < now {
+            *self.clamped += 1;
+        }
+        let at = at.max(now);
+        match self.held.as_deref_mut() {
+            Some(held) => held.push((at, event)),
+            None => self.outer.schedule_at(at, CEv::Node(self.node, event)),
+        }
+    }
 }
 
 /// The fleet as one discrete-event model. See the module docs.
@@ -203,6 +235,9 @@ struct ClusterModel<F> {
     health: HealthReport,
     /// Reused buffer for the per-decision live-load snapshot.
     live_scratch: Vec<u64>,
+    /// Reused buffer for an `Ev::Arrive` handler's schedules, held
+    /// until the next arrival is chained.
+    held: Vec<(SimTime, Ev)>,
     observe: F,
 }
 
@@ -282,20 +317,24 @@ impl<F: FnMut(SimTime, u16, &Ev)> Model for ClusterModel<F> {
                 (self.observe)(now, i, &ev);
                 let is_arrive = matches!(ev, Ev::Arrive(_));
                 let node = &mut self.nodes[i as usize];
-                node.scratch.sync_to(now);
-                node.machine.handle(now, ev, &mut node.scratch);
-                // Chain the global admission sequence BEFORE draining:
-                // a bare machine's on_arrive schedules the next Arrive
-                // first and its own follow-ons after, and the
-                // differential tests pin that exact sequence.
+                let mut sink = NodeSink {
+                    outer: &mut *outer,
+                    node: i,
+                    clamped: &mut node.clamped,
+                    held: is_arrive.then_some(&mut self.held),
+                };
+                node.machine.handle_event(now, ev, &mut sink);
                 if is_arrive {
+                    // A bare machine's on_arrive schedules the next
+                    // Arrive first and its own follow-ons after; the
+                    // differential tests pin that exact sequence.
                     if let Some((at, target, local)) = self.dispatch_next(now) {
                         outer.schedule_at(at, CEv::Node(target, Ev::Arrive(local)));
                     }
+                    for (at, ev) in self.held.drain(..) {
+                        outer.schedule_at(at, CEv::Node(i, ev));
+                    }
                 }
-                let node = &mut self.nodes[i as usize];
-                node.scratch
-                    .drain_pending(|at, ev| outer.schedule_at(at, CEv::Node(i, ev)));
             }
             CEv::KeepAlive => self.on_keepalive(now, outer),
         }

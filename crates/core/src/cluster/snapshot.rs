@@ -3,8 +3,8 @@
 //! [`MachineRun`](crate::machine::MachineRun).
 //!
 //! A cluster snapshot nests every node's machine state (headerless,
-//! via the crate-internal machine serializer) plus its scratch-queue
-//! bookkeeping under ONE header, alongside the dispatcher's own
+//! via the crate-internal machine serializer) plus its clamp-count
+//! record under ONE header, alongside the dispatcher's own
 //! dynamics: the undispatched arrival backlog, the round-robin cursor,
 //! the placement RNG, suspension flags, health counters, and the
 //! shared outer event queue. Restoring rebuilds the fleet from the
@@ -68,6 +68,34 @@ impl Snapshot for CEv {
             1 => CEv::KeepAlive,
             other => return Err(SnapshotError::Corrupt(format!("unknown CEv tag {other}"))),
         })
+    }
+}
+
+/// Writes a node's per-node queue record. Nodes schedule straight into
+/// the outer queue, so the record is always an empty event queue (the
+/// [`EventQueue::save_snapshot`] layout: clock, delivered count, clamp
+/// count, zero pending events) that carries the node's clamp count.
+/// Keeping the layout keeps `SCHEMA_VERSION` and older snapshots
+/// valid.
+fn save_node_queue(w: &mut SnapWriter, now: SimTime, clamped: u64) {
+    now.save(w);
+    w.u64(0);
+    w.u64(clamped);
+    w.usize(0);
+}
+
+/// Reads a [`save_node_queue`] record and returns the clamp count. A
+/// record holding pending events belongs to no run this code can
+/// resume and is rejected.
+fn load_node_queue(r: &mut SnapReader<'_>) -> Result<u64, SnapshotError> {
+    SimTime::load(r)?;
+    r.u64()?;
+    let clamped = r.u64()?;
+    match r.seq_len()? {
+        0 => Ok(clamped),
+        n => Err(SnapshotError::Corrupt(format!(
+            "node queue record holds {n} pending events"
+        ))),
     }
 }
 
@@ -148,7 +176,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
                     end,
                     seed.wrapping_add(i as u64),
                 ),
-                scratch: EventQueue::with_capacity(256),
+                clamped: 0,
                 suspended: false,
             })
             .collect();
@@ -170,6 +198,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
                 ..HealthReport::default()
             },
             live_scratch: Vec::with_capacity(cfg.nodes),
+            held: Vec::new(),
             observe,
         };
         let mut sim = Simulation::new(model);
@@ -224,11 +253,11 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         let mut nodes = Vec::with_capacity(node_count);
         for _ in 0..node_count {
             let machine = Machine::restore_dynamic(&cfg.node, &names, &mut r)?;
-            let scratch = EventQueue::load_snapshot(&mut r)?;
+            let clamped = load_node_queue(&mut r)?;
             let suspended = r.bool()?;
             nodes.push(NodeSlot {
                 machine,
-                scratch,
+                clamped,
                 suspended,
             });
         }
@@ -269,6 +298,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             suspend_dark_stations: cfg.suspend_dark_stations,
             health,
             live_scratch: Vec::with_capacity(cfg.nodes),
+            held: Vec::new(),
             observe,
         };
         Ok(ClusterRun {
@@ -299,7 +329,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         w.usize(model.nodes.len());
         for node in &mut model.nodes {
             node.machine.save_dynamic(&mut w);
-            node.scratch.save_snapshot(&mut w);
+            save_node_queue(&mut w, outer.now(), node.clamped);
             w.bool(node.suspended);
         }
         w.usize(model.rr_cursor);
@@ -324,9 +354,8 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             .nodes
             .into_iter()
             .map(|slot| {
-                let node_clamped = slot.scratch.clamped();
                 let mut report = slot.machine.into_run_report(now, self.end);
-                report.totals.clamped_events = node_clamped;
+                report.totals.clamped_events = slot.clamped;
                 report
             })
             .collect();
@@ -335,6 +364,40 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             health,
             events,
             clamped,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn node_queue_record_keeps_the_empty_event_queue_layout() {
+        let mut w = SnapWriter::new();
+        EventQueue::<Ev>::with_capacity(0).save_snapshot(&mut w);
+        let mut record = SnapWriter::new();
+        save_node_queue(&mut record, SimTime::ZERO, 0);
+        assert_eq!(record.into_bytes(), w.into_bytes());
+
+        let mut w = SnapWriter::new();
+        save_node_queue(&mut w, SimTime::from_picos(5_000), 7);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(load_node_queue(&mut r).unwrap(), 7);
+        assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn node_queue_record_with_pending_events_is_corrupt() {
+        let mut q = EventQueue::<Ev>::with_capacity(0);
+        q.schedule_at(SimTime::from_picos(10), Ev::ScaleTick);
+        let mut w = SnapWriter::new();
+        q.save_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        match load_node_queue(&mut SnapReader::new(&bytes)) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("pending"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 }

@@ -7,7 +7,7 @@
 //! from the accelerated path being that continuation hops stay on the
 //! CPU for cpu-only orchestrators.
 
-use accelflow_sim::engine::EventQueue;
+use accelflow_sim::engine::Schedule;
 use accelflow_sim::time::{SimDuration, SimTime};
 
 use crate::request::{CallAddr, SegmentEnd};
@@ -20,7 +20,7 @@ impl MachineCtx {
         &mut self,
         now: SimTime,
         addr: CallAddr,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut impl Schedule<Ev>,
     ) {
         // An external response may arrive after a timeout terminated
         // the request.
@@ -45,7 +45,7 @@ impl MachineCtx {
         &mut self,
         now: SimTime,
         addr: CallAddr,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut impl Schedule<Ev>,
     ) {
         let work = {
             let seg = self.req(addr.req).program.segment(addr);
@@ -64,7 +64,7 @@ impl MachineCtx {
         &mut self,
         now: SimTime,
         addr: CallAddr,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut impl Schedule<Ev>,
     ) {
         if self.req_gone(addr.req) {
             return;

@@ -9,7 +9,7 @@
 //! hand off to the [`transfer`](super::transfer) module for submission
 //! and are notified back through [`MachineCtx::on_call_done`].
 
-use accelflow_sim::engine::EventQueue;
+use accelflow_sim::engine::Schedule;
 use accelflow_sim::telemetry::CompId;
 use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::kind::AccelKind;
@@ -48,7 +48,7 @@ pub(crate) struct RequestState {
 }
 
 impl MachineCtx {
-    pub(crate) fn on_arrive(&mut self, now: SimTime, idx: u32, queue: &mut EventQueue<Ev>) {
+    pub(crate) fn on_arrive(&mut self, now: SimTime, idx: u32, queue: &mut impl Schedule<Ev>) {
         // Arrivals are stored reversed and admitted strictly in order,
         // so the current one is the tail; popping it frees its payload
         // now instead of leaving a tombstone for the run's lifetime.
@@ -117,7 +117,7 @@ impl MachineCtx {
         total
     }
 
-    pub(crate) fn on_start_step(&mut self, now: SimTime, req: u32, queue: &mut EventQueue<Ev>) {
+    pub(crate) fn on_start_step(&mut self, now: SimTime, req: u32, queue: &mut impl Schedule<Ev>) {
         let (step_idx, done) = {
             let r = self.req(req);
             (r.step, r.step >= r.program.step_count())
@@ -161,14 +161,19 @@ impl MachineCtx {
         }
     }
 
-    pub(crate) fn on_app_done(&mut self, _now: SimTime, req: u32, queue: &mut EventQueue<Ev>) {
+    pub(crate) fn on_app_done(&mut self, _now: SimTime, req: u32, queue: &mut impl Schedule<Ev>) {
         self.req_mut(req).step += 1;
         queue.schedule(SimDuration::ZERO, Ev::StartStep(req));
     }
 
     /// Initiates one trace call: tenant-cap admission, then policy-
     /// specific submission (or the Non-acc CPU path).
-    pub(crate) fn start_call(&mut self, now: SimTime, addr: CallAddr, queue: &mut EventQueue<Ev>) {
+    pub(crate) fn start_call(
+        &mut self,
+        now: SimTime,
+        addr: CallAddr,
+        queue: &mut impl Schedule<Ev>,
+    ) {
         // A throttled retry may land after a timeout terminated the
         // request; there is nothing left to start.
         if self.req_gone(addr.req) {
@@ -211,7 +216,7 @@ impl MachineCtx {
         step: u8,
         par: u8,
         error: bool,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut impl Schedule<Ev>,
     ) {
         if self.req_gone(req) {
             return;

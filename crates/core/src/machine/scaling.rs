@@ -20,7 +20,7 @@
 //!
 //! [`Sampler`]: accelflow_sim::telemetry::Sampler
 
-use accelflow_sim::engine::EventQueue;
+use accelflow_sim::engine::Schedule;
 use accelflow_sim::telemetry::CompId;
 use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::kind::AccelKind;
@@ -70,7 +70,7 @@ impl MachineCtx {
     /// One autoscaler tick: sample the utilization signal, decide, and
     /// re-arm. The chain stops re-arming once the arrival window ends
     /// (the drain runs with the final lit set).
-    pub(crate) fn on_scale_tick(&mut self, now: SimTime, queue: &mut EventQueue<Ev>) {
+    pub(crate) fn on_scale_tick(&mut self, now: SimTime, queue: &mut impl Schedule<Ev>) {
         let end = self.end;
         let MachineCtx {
             control,

@@ -548,9 +548,10 @@ pub(crate) struct ObservedMachine<F> {
 
 impl<F: FnMut(SimTime, &Ev)> Model for ObservedMachine<F> {
     type Event = Ev;
+    #[inline]
     fn handle(&mut self, now: SimTime, event: Ev, queue: &mut EventQueue<Ev>) {
         (self.observe)(now, &event);
-        self.machine.handle(now, event, queue);
+        self.machine.handle_event(now, event, queue);
     }
 }
 
@@ -608,12 +609,6 @@ impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
         let end = SimTime::ZERO + duration;
         let machine = Machine::new(cfg.clone(), names, arrivals, end, seed);
         let mut sim = Simulation::new(ObservedMachine { machine, observe });
-        // Pre-reserve the event heap for the steady-state population:
-        // each in-flight request contributes a handful of pending
-        // events, bounded by the arrival backlog. Keeps the hot
-        // schedule path allocation-free.
-        let backlog = sim.model().machine.ctx.arrivals.len().clamp(256, 16_384);
-        sim.queue_mut().reserve(backlog);
         if let Some(first) = sim.model().machine.ctx.arrivals.last() {
             let at = first.at;
             sim.queue_mut().schedule_at(at, Ev::Arrive(0));

@@ -12,7 +12,7 @@
 //! for Ideal.
 
 use accelflow_arch::topology::Endpoint;
-use accelflow_sim::engine::EventQueue;
+use accelflow_sim::engine::Schedule;
 use accelflow_sim::telemetry::CompId;
 use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::kind::AccelKind;
@@ -41,7 +41,12 @@ impl MachineCtx {
     /// policies): the policy's submit cost on a core, then a DMA of the
     /// payload into the first accelerator — unless the call enters as a
     /// network message, which lands at TCP directly.
-    pub(crate) fn submit_call(&mut self, now: SimTime, addr: CallAddr, queue: &mut EventQueue<Ev>) {
+    pub(crate) fn submit_call(
+        &mut self,
+        now: SimTime,
+        addr: CallAddr,
+        queue: &mut impl Schedule<Ev>,
+    ) {
         debug_assert!(
             addr.seg == 0 && addr.hop == 0,
             "a call starts at its first hop"
@@ -105,7 +110,7 @@ impl MachineCtx {
         now: SimTime,
         addr: CallAddr,
         accel: u8,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut impl Schedule<Ev>,
     ) {
         let info = {
             let call = self.req(addr.req).program.call(addr.step, addr.par);
@@ -403,7 +408,7 @@ impl MachineCtx {
         &mut self,
         now: SimTime,
         addr: CallAddr,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut impl Schedule<Ev>,
     ) {
         if self.req_gone(addr.req) {
             return;

@@ -541,13 +541,13 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Re-anchors an **empty** queue's window and clock at `at`. Bulk
-    /// drains (the engine's outer-kernel adapter) pop events sitting
-    /// arbitrarily far in the future, dragging `last_popped` and the
-    /// cursor out to the drained horizon; once nothing is stored those
-    /// anchors are meaningless, and leaving them there would reject —
-    /// or worse, strand behind the window — the caller's next schedule
-    /// at the *real* current time.
+    /// Re-anchors an **empty** queue's window and clock at `at`. A bulk
+    /// drain (a snapshot save) pops events sitting arbitrarily far in
+    /// the future, dragging `last_popped` and the cursor out to the
+    /// drained horizon; once nothing is stored those anchors are
+    /// meaningless, and leaving them there would reject — or worse,
+    /// strand behind the window — the caller's next schedule at the
+    /// *real* current time.
     pub(crate) fn reanchor(&mut self, at: u64) {
         debug_assert!(self.is_empty(), "reanchor requires an empty queue");
         self.cursor = at >> self.shift;

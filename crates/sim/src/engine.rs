@@ -57,6 +57,29 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 }
 
+/// Where event handlers put follow-on events.
+///
+/// [`EventQueue`] is the usual implementation. A composition that
+/// drives captive models from one shared queue (the cluster layer
+/// tags each node's events with its node id) implements it with a thin
+/// adapter that forwards into the shared queue, so handlers written
+/// against `&mut impl Schedule<E>` run unchanged under either.
+pub trait Schedule<E> {
+    /// The current simulated time.
+    fn now(&self) -> SimTime;
+
+    /// Schedules `event` at the absolute instant `at`; an instant in the
+    /// past is clamped to [`Schedule::now`].
+    fn schedule_at(&mut self, at: SimTime, event: E);
+
+    /// Schedules `event` to fire `delay` after the current time.
+    #[inline]
+    fn schedule(&mut self, delay: SimDuration, event: E) {
+        let at = self.now() + delay;
+        self.schedule_at(at, event);
+    }
+}
+
 /// The pending-event set of a simulation.
 ///
 /// Events are delivered in `(time, insertion order)` order. The queue
@@ -102,16 +125,6 @@ impl<E> EventQueue<E> {
             delivered: 0,
             clamped: 0,
         }
-    }
-
-    /// Capacity hint, retained for API stability. The calendar sizes
-    /// its ring from the *live* pending-event population through
-    /// adaptive rebuilds — a caller's total-event estimate (e.g. an
-    /// arrival backlog) routinely overshoots the steady-state population
-    /// by orders of magnitude, and an oversized ring costs more in cache
-    /// footprint than rebuilds ever do — so this is a no-op.
-    pub fn reserve(&mut self, additional: usize) {
-        let _ = additional;
     }
 
     /// The current simulated time (the timestamp of the event being
@@ -184,50 +197,6 @@ impl<E> EventQueue<E> {
         self.clamped
     }
 
-    /// Advances the queue's clock without delivering an event.
-    ///
-    /// Adapter hook for *outer kernels* that drive a captive [`Model`]
-    /// by hand (e.g. a multi-machine composition where one shared
-    /// queue interleaves several models' events): the captive model's
-    /// scratch queue must agree with the outer clock before each
-    /// `handle` call, or relative [`EventQueue::schedule`] calls would
-    /// resolve against a stale `now`. Time only moves forward; rewinds
-    /// are a caller bug.
-    pub fn sync_to(&mut self, now: SimTime) {
-        debug_assert!(now >= self.now, "sync_to must not rewind the clock");
-        self.now = now;
-    }
-
-    /// Removes every pending event in delivery order — `(time,
-    /// insertion order)`, exactly as [`Model::handle`] would see them —
-    /// handing each to `f`.
-    ///
-    /// The clock and the `delivered` counter are untouched: this is
-    /// the second half of the outer-kernel adapter (see
-    /// [`EventQueue::sync_to`]), where drained events are re-scheduled
-    /// into the outer queue rather than delivered, so they must not
-    /// count as deliveries or drag `now` to the drained timestamps.
-    pub fn drain_pending(&mut self, mut f: impl FnMut(SimTime, E)) {
-        loop {
-            if let Some((_, event)) = self.ready.pop_front() {
-                f(self.ready_at, event);
-                continue;
-            }
-            match self.calendar.pop_batch(&mut self.ready) {
-                Some((at, event)) => {
-                    self.ready_at = SimTime::from_picos(at);
-                    f(self.ready_at, event);
-                }
-                None => break,
-            }
-        }
-        // The bulk pops above anchored the calendar's window on the
-        // *drained* timestamps — arbitrarily far ahead of the clock.
-        // Re-anchor the now-empty calendar on `now` so the model's next
-        // handler call can schedule at the real current time again.
-        self.calendar.reanchor(self.now.as_picos());
-    }
-
     fn pop(&mut self) -> Option<(SimTime, E)> {
         let (at, event) = match self.ready.pop_front() {
             Some((_, event)) => (self.ready_at, event),
@@ -254,12 +223,25 @@ impl<E> EventQueue<E> {
     }
 }
 
+impl<E> Schedule<E> for EventQueue<E> {
+    #[inline]
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    #[inline]
+    fn schedule_at(&mut self, at: SimTime, event: E) {
+        EventQueue::schedule_at(self, at, event);
+    }
+}
+
 impl<E: crate::snapshot::Snapshot> EventQueue<E> {
     /// Serializes the queue — clock, counters, and every pending event
     /// in delivery order — without disturbing it.
     ///
     /// Internally the pending set is drained (the only way to observe
-    /// delivery order) and re-scheduled back in that same order; the
+    /// delivery order) without touching the clock or the `delivered`
+    /// counter, and re-scheduled back in that same order; the
     /// re-scheduled events receive fresh insertion sequences, which
     /// preserves their relative order exactly, so a queue that has been
     /// saved delivers the same event stream as one that never was.
@@ -269,7 +251,23 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
         w.u64(self.delivered);
         w.u64(self.clamped);
         let mut pending = Vec::with_capacity(self.len());
-        self.drain_pending(|at, ev| pending.push((at, ev)));
+        loop {
+            if let Some((_, event)) = self.ready.pop_front() {
+                pending.push((self.ready_at, event));
+                continue;
+            }
+            match self.calendar.pop_batch(&mut self.ready) {
+                Some((at, event)) => {
+                    self.ready_at = SimTime::from_picos(at);
+                    pending.push((self.ready_at, event));
+                }
+                None => break,
+            }
+        }
+        // The bulk pops above anchored the calendar's window on the
+        // drained timestamps, past the clock; re-anchor the now-empty
+        // calendar on `now` before the events go back in.
+        self.calendar.reanchor(self.now.as_picos());
         w.usize(pending.len());
         for (at, ev) in &pending {
             at.save(w);
@@ -286,7 +284,7 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
     /// re-anchored on it *before* any event is scheduled, so restored
     /// events at exactly the snapshot instant take the same-instant
     /// staging lane — the same anchor hazard `CalendarQueue::reanchor`
-    /// exists for (see [`EventQueue::drain_pending`]). A fresh calendar
+    /// exists for (see [`EventQueue::save_snapshot`]). A fresh calendar
     /// is anchored at time zero; scheduling an at-now event against it
     /// would misfile the event instead of staging it.
     pub fn load_snapshot(
@@ -589,45 +587,45 @@ mod tests {
     #[test]
     fn with_capacity_preallocates() {
         let mut q: EventQueue<u32> = EventQueue::with_capacity(1000);
-        q.reserve(2000);
         for i in 0..1000 {
             q.schedule(SimDuration::from_picos(i), i as u32);
         }
         assert_eq!(q.len(), 1000);
     }
 
-    #[test]
-    fn drain_pending_yields_delivery_order_without_advancing_time() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(8);
-        q.sync_to(SimTime::from_picos(100));
-        q.schedule(SimDuration::from_picos(50), 2);
-        q.schedule(SimDuration::ZERO, 0); // at-now fast lane
-        q.schedule(SimDuration::from_picos(50), 3); // tie with 2: FIFO
-        q.schedule(SimDuration::ZERO, 1);
-        q.schedule(SimDuration::from_picos(10), 9);
-        let mut drained = Vec::new();
-        q.drain_pending(|at, ev| drained.push((at.as_picos(), ev)));
-        assert_eq!(
-            drained,
-            vec![(100, 0), (100, 1), (110, 9), (150, 2), (150, 3)],
-            "drain order must match delivery order"
-        );
-        assert!(q.is_empty());
-        // The drain is bookkeeping, not delivery: clock and counters
-        // are unchanged, so a subsequent sync_to cannot go backwards.
-        assert_eq!(q.now(), SimTime::from_picos(100));
-        assert_eq!(q.delivered(), 0);
-        q.sync_to(SimTime::from_picos(101));
+    /// A queue whose clock sits at 100 ps with nothing pending.
+    fn queue_at_100() -> EventQueue<u32> {
+        let mut q = EventQueue::with_capacity(8);
+        q.schedule_at(SimTime::from_picos(100), u32::MAX);
+        q.pop().expect("the clock-advancing event");
+        q
     }
 
     #[test]
-    fn sync_to_resolves_relative_schedules() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(8);
-        q.sync_to(SimTime::from_picos(40));
-        q.schedule(SimDuration::from_picos(5), 7);
-        let mut drained = Vec::new();
-        q.drain_pending(|at, ev| drained.push((at.as_picos(), ev)));
-        assert_eq!(drained, vec![(45, 7)]);
+    fn save_snapshot_keeps_the_clock_and_reanchors_the_calendar() {
+        use crate::snapshot::SnapWriter;
+        let mut q = queue_at_100();
+        q.schedule(SimDuration::from_picos(50), 2);
+        q.schedule(SimDuration::ZERO, 0); // at-now fast lane
+        q.schedule(SimDuration::from_picos(50), 3); // tie with 2: FIFO
+        q.schedule(SimDuration::from_picos(10), 9);
+        q.save_snapshot(&mut SnapWriter::new());
+        // Saving drains and re-schedules: bookkeeping, not delivery.
+        assert_eq!(q.now(), SimTime::from_picos(100));
+        assert_eq!(q.delivered(), 1);
+        // The drain pulled the calendar out to 150 ps; an event at
+        // 105 ps scheduled after the save must still fire in order.
+        q.schedule(SimDuration::from_picos(5), 5);
+        q.schedule(SimDuration::ZERO, 1);
+        let mut order = Vec::new();
+        while let Some((at, ev)) = q.pop() {
+            order.push((at.as_picos(), ev));
+        }
+        assert_eq!(
+            order,
+            vec![(100, 0), (100, 1), (105, 5), (110, 9), (150, 2), (150, 3)]
+        );
+        assert_eq!(q.clamped(), 0);
     }
 
     #[test]
@@ -682,8 +680,7 @@ mod tests {
         // Identical queues; one is saved mid-run, one never is. Both
         // must deliver the same stream afterwards.
         let build = || {
-            let mut q: EventQueue<u32> = EventQueue::with_capacity(8);
-            q.sync_to(SimTime::from_picos(100));
+            let mut q = queue_at_100();
             q.schedule(SimDuration::from_picos(50), 2);
             q.schedule(SimDuration::ZERO, 0); // at-now staging lane
             q.schedule(SimDuration::from_picos(50), 3); // tie with 2: FIFO
