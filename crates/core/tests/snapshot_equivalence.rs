@@ -18,6 +18,8 @@
 //! configuration, and trailing garbage must each fail with the
 //! matching [`SnapshotError`] variant instead of producing a machine.
 
+mod common;
+
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_arch::config::ArchConfig;
 use accelflow_core::cluster::{Cluster, ClusterConfig, ClusterRun};
@@ -30,15 +32,7 @@ use accelflow_sim::snapshot::SnapshotError;
 use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::templates::{TemplateId, TraceLibrary};
 
-/// FNV-1a over the bytes of one rendered event line.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+use common::{fnv1a, FNV_OFFSET};
 
 /// Two services that together reach every event variant: calls, CPU
 /// stages, parallel fan-out, and chained segments.
