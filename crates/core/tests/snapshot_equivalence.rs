@@ -13,10 +13,23 @@
 //! fault-injector RNG, stall bookkeeping, token bucket, SLO windows,
 //! and autoscaler tick chain all cross the snapshot boundary.
 //!
+//! The wire pins hash the bytes of mid-run machine and cluster
+//! snapshots with the auditor and telemetry on as well, so a layout
+//! change that is made consistently in both `save` and `load` (and so
+//! still round-trips) moves a pinned constant. Each pinned snapshot
+//! must also re-save to identical bytes after a restore.
+//!
 //! The rejection half exercises the format guards: truncation,
 //! corrupted magic, a bumped schema version, a mismatched
 //! configuration, and trailing garbage must each fail with the
 //! matching [`SnapshotError`] variant instead of producing a machine.
+//!
+//! Recapture the wire pins (only for a deliberate wire-format change,
+//! which also bumps `SCHEMA_VERSION`):
+//!
+//! ```text
+//! SNAPSHOT_PIN_PRINT=1 cargo test -p accelflow-core --test snapshot_equivalence -- pin --nocapture
+//! ```
 
 mod common;
 
@@ -238,6 +251,88 @@ fn cluster_restore_is_byte_identical() {
         format!("{straight_report:?}"),
         format!("{report:?}"),
         "cluster report diverged"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Wire pins: the bytes of mid-run snapshots, and re-save identity.
+// ---------------------------------------------------------------------
+
+/// Instant the pinned snapshots are taken at: mid-measurement, with
+/// live requests, busy PEs, armed faults and pending control ticks.
+const PIN_AT: SimDuration = SimDuration::from_millis(6);
+
+/// [`full_config`] with the auditor and telemetry on too, so every
+/// optional state block is in the pinned bytes at any optimization
+/// level and feature set.
+fn pinned_config(policy: Policy) -> accelflow_core::machine::MachineConfig {
+    let mut cfg = full_config(policy);
+    cfg.audit = true;
+    cfg.telemetry = true;
+    cfg
+}
+
+/// Checks the FNV-1a hash of `bytes` against `expected`, printing it
+/// under `SNAPSHOT_PIN_PRINT`.
+fn check_pin(name: &str, bytes: &[u8], expected: u64) {
+    let mut hash = FNV_OFFSET;
+    fnv1a(&mut hash, bytes);
+    if std::env::var_os("SNAPSHOT_PIN_PRINT").is_some() {
+        println!("{name}: {} bytes, {hash:#018x}", bytes.len());
+    }
+    assert_eq!(hash, expected, "{name}: snapshot wire bytes changed");
+}
+
+fn pin_machine(policy: Policy, expected: u64) {
+    let cfg = pinned_config(policy);
+    let services = services();
+    let mut run = MachineRun::start(
+        &cfg,
+        &services,
+        arrivals(RPS, DURATION, SEED),
+        DURATION,
+        SEED,
+        |_, _: &Ev| {},
+    );
+    run.run_to(SimTime::ZERO + PIN_AT);
+    let bytes = run.snapshot();
+    check_pin(&format!("machine {policy}"), &bytes, expected);
+    let resaved = MachineRun::restore(&cfg, &services, &bytes, |_, _: &Ev| {})
+        .expect("pinned snapshot must restore")
+        .snapshot();
+    assert!(
+        resaved == bytes,
+        "{policy}: restore then snapshot changed the bytes"
+    );
+}
+
+#[test]
+fn machine_snapshot_bytes_are_pinned_accelflow() {
+    pin_machine(Policy::AccelFlow, 0x5326_f2b4_70fa_0b5e);
+}
+
+#[test]
+fn machine_snapshot_bytes_are_pinned_relief() {
+    pin_machine(Policy::Relief, 0x3ea4_8529_dfb4_44b7);
+}
+
+#[test]
+fn cluster_snapshot_bytes_are_pinned() {
+    // The four-node fixture of `cluster_restore_is_byte_identical`,
+    // with the auditor and telemetry on in every node.
+    let cfg = ClusterConfig::new(4, pinned_config(Policy::AccelFlow));
+    let services = services();
+    let work = arrivals(4.0 * RPS, DURATION, SEED);
+    let mut run = ClusterRun::start(&cfg, &services, work, DURATION, SEED, |_, _, _| {});
+    run.run_to(SimTime::ZERO + PIN_AT);
+    let bytes = run.snapshot();
+    check_pin("cluster", &bytes, 0x0290_338c_1c7f_396b);
+    let resaved = ClusterRun::restore(&cfg, &services, &bytes, |_, _, _| {})
+        .expect("pinned cluster snapshot must restore")
+        .snapshot();
+    assert!(
+        resaved == bytes,
+        "cluster: restore then snapshot changed the bytes"
     );
 }
 
