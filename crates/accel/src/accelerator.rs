@@ -260,51 +260,23 @@ impl Accelerator {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for Accelerator {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        self.kind.save(w);
-        w.u8(self.unit.0);
-        self.input.save(w);
-        self.policy.save(w);
-        w.u64(self.pe_busy);
-        w.u64(self.pe_full);
-        self.pe_last_tenant.save(w);
-        self.tlb.save(w);
-        self.busy.save(w);
-        w.u64(self.processed);
-        w.u64(self.tenant_wipes);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        use accelflow_sim::snapshot::SnapshotError;
-        let kind = AccelKind::load(r)?;
-        let unit = UnitId(r.u8()?);
-        let input = InputQueue::load(r)?;
-        let policy = crate::dispatcher::QueuePolicy::load(r)?;
-        let pe_busy = r.u64()?;
-        let pe_full = r.u64()?;
-        let pe_last_tenant = Vec::<Option<TenantId>>::load(r)?;
-        let n = pe_last_tenant.len();
-        let expect_full = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        if !(1..=64).contains(&n) || pe_full != expect_full || pe_busy & !pe_full != 0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "inconsistent PE occupancy: {n} PEs, full {pe_full:#x}, busy {pe_busy:#x}"
-            )));
+accelflow_sim::impl_snapshot! {
+    struct Accelerator {
+        kind, unit, input, policy, pe_busy, pe_full, pe_last_tenant, tlb, busy, processed,
+        tenant_wipes,
+    } check Accelerator::check_loaded
+}
+
+impl Accelerator {
+    /// Refuses PE occupancy masks that disagree with the PE count.
+    fn check_loaded(&self) -> Result<(), accelflow_sim::snapshot::SnapshotError> {
+        let (n, full, busy) = (self.pe_last_tenant.len(), self.pe_full, self.pe_busy);
+        if (1..=64).contains(&n) && full == u64::MAX >> (64 - n) && busy & !full == 0 {
+            return Ok(());
         }
-        Ok(Accelerator {
-            kind,
-            unit,
-            input,
-            policy,
-            pe_busy,
-            pe_full,
-            pe_last_tenant,
-            tlb: Tlb::load(r)?,
-            busy: BusyTracker::load(r)?,
-            processed: r.u64()?,
-            tenant_wipes: r.u64()?,
-        })
+        Err(accelflow_sim::snapshot::SnapshotError::Corrupt(format!(
+            "inconsistent PE occupancy: {n} PEs, full {full:#x}, busy {busy:#x}"
+        )))
     }
 }
 

@@ -115,28 +115,8 @@ impl QueuePolicy {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for QueuePolicy {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.u8(match self {
-            QueuePolicy::Fifo => 0,
-            QueuePolicy::Priority => 1,
-            QueuePolicy::DeadlineAware => 2,
-        });
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(match r.u8()? {
-            0 => QueuePolicy::Fifo,
-            1 => QueuePolicy::Priority,
-            2 => QueuePolicy::DeadlineAware,
-            other => {
-                return Err(accelflow_sim::snapshot::SnapshotError::Corrupt(format!(
-                    "unknown QueuePolicy tag {other}"
-                )))
-            }
-        })
-    }
+accelflow_sim::impl_snapshot! {
+    enum QueuePolicy { 0 => Fifo, 1 => Priority, 2 => DeadlineAware }
 }
 
 #[cfg(test)]

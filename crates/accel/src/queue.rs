@@ -237,102 +237,43 @@ impl InputQueue {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for RequestId {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(RequestId(r.u64()?))
+accelflow_sim::impl_snapshot! { struct RequestId { 0 } }
+
+accelflow_sim::impl_snapshot! { struct TenantId { 0 } }
+
+accelflow_sim::impl_snapshot! {
+    struct QueueEntry {
+        request, tenant, trace, pm, data_bytes, flags, vaddr, deadline, priority, enqueued_at,
+        origin_core, tag,
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for TenantId {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.u16(self.0);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(TenantId(r.u16()?))
-    }
+accelflow_sim::impl_snapshot! {
+    struct InputQueue {
+        capacity, overflow_capacity, entries, overflow, overflow_count, rejected_count,
+        accepted_count,
+    } check InputQueue::check_loaded
 }
 
-impl accelflow_sim::snapshot::Snapshot for QueueEntry {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        self.request.save(w);
-        self.tenant.save(w);
-        self.trace.save(w);
-        self.pm.save(w);
-        w.u64(self.data_bytes);
-        self.flags.save(w);
-        w.u64(self.vaddr);
-        self.deadline.save(w);
-        w.u8(self.priority);
-        self.enqueued_at.save(w);
-        w.usize(self.origin_core);
-        w.u64(self.tag);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(QueueEntry {
-            request: RequestId::load(r)?,
-            tenant: TenantId::load(r)?,
-            trace: Arc::load(r)?,
-            pm: PositionMark::load(r)?,
-            data_bytes: r.u64()?,
-            flags: PayloadFlags::load(r)?,
-            vaddr: r.u64()?,
-            deadline: Option::load(r)?,
-            priority: r.u8()?,
-            enqueued_at: SimTime::load(r)?,
-            origin_core: r.usize()?,
-            tag: r.u64()?,
-        })
-    }
-}
-
-impl accelflow_sim::snapshot::Snapshot for InputQueue {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.usize(self.capacity);
-        w.usize(self.overflow_capacity);
-        self.entries.save(w);
-        self.overflow.save(w);
-        w.u64(self.overflow_count);
-        w.u64(self.rejected_count);
-        w.u64(self.accepted_count);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
+impl InputQueue {
+    /// Refuses a zero capacity and occupancy beyond capacity.
+    fn check_loaded(&self) -> Result<(), accelflow_sim::snapshot::SnapshotError> {
         use accelflow_sim::snapshot::SnapshotError;
-        let capacity = r.usize()?;
-        let overflow_capacity = r.usize()?;
-        if capacity == 0 {
+        if self.capacity == 0 {
             return Err(SnapshotError::Corrupt(
                 "zero-capacity input queue".to_string(),
             ));
         }
-        let entries = VecDeque::<QueueEntry>::load(r)?;
-        let overflow = VecDeque::<QueueEntry>::load(r)?;
-        if entries.len() > capacity || overflow.len() > overflow_capacity {
+        if self.entries.len() > self.capacity || self.overflow.len() > self.overflow_capacity {
             return Err(SnapshotError::Corrupt(format!(
-                "input queue occupancy {}/{} exceeds capacity {capacity}/{overflow_capacity}",
-                entries.len(),
-                overflow.len()
+                "input queue occupancy {}/{} exceeds capacity {}/{}",
+                self.entries.len(),
+                self.overflow.len(),
+                self.capacity,
+                self.overflow_capacity
             )));
         }
-        Ok(InputQueue {
-            entries,
-            capacity,
-            overflow,
-            overflow_capacity,
-            overflow_count: r.u64()?,
-            rejected_count: r.u64()?,
-            accepted_count: r.u64()?,
-        })
+        Ok(())
     }
 }
 

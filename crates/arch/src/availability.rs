@@ -95,22 +95,7 @@ impl AvailabilitySet {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for AvailabilitySet {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        self.dark_until.save(w);
-        self.dark_time.save(w);
-        w.u64(self.darkenings);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(AvailabilitySet {
-            dark_until: Vec::load(r)?,
-            dark_time: SimDuration::load(r)?,
-            darkenings: r.u64()?,
-        })
-    }
-}
+accelflow_sim::impl_snapshot! { struct AvailabilitySet { dark_until, dark_time, darkenings } }
 
 #[cfg(test)]
 mod tests {

@@ -120,22 +120,7 @@ impl CacheHierarchy {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for MemoryBus {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.f64(self.bytes_per_sec);
-        self.next_free.save(w);
-        w.u64(self.bytes);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(MemoryBus {
-            bytes_per_sec: r.f64()?,
-            next_free: SimTime::load(r)?,
-            bytes: r.u64()?,
-        })
-    }
-}
+accelflow_sim::impl_snapshot! { struct MemoryBus { bytes_per_sec, next_free, bytes } }
 
 #[cfg(test)]
 mod tests {

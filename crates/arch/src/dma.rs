@@ -103,22 +103,7 @@ impl DmaPool {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for DmaPool {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        self.engines.save(w);
-        self.program_latency.save(w);
-        w.u64(self.bytes_moved);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(DmaPool {
-            engines: ServerPool::load(r)?,
-            program_latency: SimDuration::load(r)?,
-            bytes_moved: r.u64()?,
-        })
-    }
-}
+accelflow_sim::impl_snapshot! { struct DmaPool { engines, program_latency, bytes_moved } }
 
 #[cfg(test)]
 mod tests {

@@ -197,84 +197,21 @@ impl EnergyMeter {
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for EnergyReport {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.f64(self.core_j);
-        w.f64(self.accel_j);
-        w.f64(self.orchestration_j);
-        w.f64(self.uncore_j);
-        w.f64(self.total_j);
-        w.f64(self.avg_power_w);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(EnergyReport {
-            core_j: r.f64()?,
-            accel_j: r.f64()?,
-            orchestration_j: r.f64()?,
-            uncore_j: r.f64()?,
-            total_j: r.f64()?,
-            avg_power_w: r.f64()?,
-        })
+accelflow_sim::impl_snapshot! {
+    struct EnergyReport { core_j, accel_j, orchestration_j, uncore_j, total_j, avg_power_w }
+}
+
+accelflow_sim::impl_snapshot! {
+    struct EnergyModel {
+        core_active_w, core_idle_w, accel_active_w, accel_idle_w, uncore_w,
+        dispatcher_instr_j, queue_access_j, dma_byte_j, noc_byte_j,
     }
 }
 
-impl accelflow_sim::snapshot::Snapshot for EnergyModel {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        w.f64(self.core_active_w);
-        w.f64(self.core_idle_w);
-        w.f64(self.accel_active_w);
-        w.f64(self.accel_idle_w);
-        w.f64(self.uncore_w);
-        w.f64(self.dispatcher_instr_j);
-        w.f64(self.queue_access_j);
-        w.f64(self.dma_byte_j);
-        w.f64(self.noc_byte_j);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(EnergyModel {
-            core_active_w: r.f64()?,
-            core_idle_w: r.f64()?,
-            accel_active_w: r.f64()?,
-            accel_idle_w: r.f64()?,
-            uncore_w: r.f64()?,
-            dispatcher_instr_j: r.f64()?,
-            queue_access_j: r.f64()?,
-            dma_byte_j: r.f64()?,
-            noc_byte_j: r.f64()?,
-        })
-    }
-}
-
-impl accelflow_sim::snapshot::Snapshot for EnergyMeter {
-    fn save(&self, w: &mut accelflow_sim::snapshot::SnapWriter) {
-        self.model.save(w);
-        w.usize(self.cores);
-        w.usize(self.accelerators);
-        self.core_busy.save(w);
-        self.accel_busy.save(w);
-        w.u64(self.dispatcher_instrs);
-        w.u64(self.queue_accesses);
-        w.u64(self.dma_bytes);
-        w.u64(self.noc_bytes);
-    }
-    fn load(
-        r: &mut accelflow_sim::snapshot::SnapReader<'_>,
-    ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
-        Ok(EnergyMeter {
-            model: EnergyModel::load(r)?,
-            cores: r.usize()?,
-            accelerators: r.usize()?,
-            core_busy: SimDuration::load(r)?,
-            accel_busy: SimDuration::load(r)?,
-            dispatcher_instrs: r.u64()?,
-            queue_accesses: r.u64()?,
-            dma_bytes: r.u64()?,
-            noc_bytes: r.u64()?,
-        })
+accelflow_sim::impl_snapshot! {
+    struct EnergyMeter {
+        model, cores, accelerators, core_busy, accel_busy,
+        dispatcher_instrs, queue_accesses, dma_bytes, noc_bytes,
     }
 }
 

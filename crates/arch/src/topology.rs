@@ -18,6 +18,8 @@ pub struct ChipletId(pub u8);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UnitId(pub u8);
 
+accelflow_sim::impl_snapshot! { struct UnitId { 0 } }
+
 /// A communication endpoint on the package: the core complex or a
 /// placed unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

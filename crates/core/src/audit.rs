@@ -609,56 +609,15 @@ impl Snapshot for Violation {
     }
 }
 
-impl Snapshot for Auditor {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.checks);
-        w.u64(self.violation_count);
-        self.violations.save(w);
-        w.u64(self.admitted);
-        w.u64(self.terminated);
-        w.u64(self.measured_admitted);
-        w.u64(self.measured_terminated);
-        self.terminated_flags.save(w);
-        w.u64(self.calls_started);
-        w.u64(self.calls_ended);
-        self.finished_calls.save(w);
-        self.last_event_time.save(w);
-        self.last_core_busy.save(w);
-        self.last_accel_busy.save(w);
-        w.u64(self.last_activity_events);
-        w.u64(self.last_dma_bytes);
-        w.u64(self.last_atm_reads);
-        self.last_overflows.save(w);
-        self.last_rejections.save(w);
-        self.dark_until.save(w);
-    }
-    /// Restores the mid-run bookkeeping directly — the constructor's
-    /// one-time ATM chain check is *not* re-run, because its checks and
-    /// any violations it found are already part of the serialized
-    /// counters.
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Auditor {
-            checks: r.u64()?,
-            violation_count: r.u64()?,
-            violations: Vec::load(r)?,
-            admitted: r.u64()?,
-            terminated: r.u64()?,
-            measured_admitted: r.u64()?,
-            measured_terminated: r.u64()?,
-            terminated_flags: Vec::load(r)?,
-            calls_started: r.u64()?,
-            calls_ended: r.u64()?,
-            finished_calls: Vec::load(r)?,
-            last_event_time: SimTime::load(r)?,
-            last_core_busy: SimDuration::load(r)?,
-            last_accel_busy: SimDuration::load(r)?,
-            last_activity_events: r.u64()?,
-            last_dma_bytes: r.u64()?,
-            last_atm_reads: r.u64()?,
-            last_overflows: Vec::load(r)?,
-            last_rejections: Vec::load(r)?,
-            dark_until: Vec::load(r)?,
-        })
+// Load restores the mid-run bookkeeping directly: the constructor's
+// one-time ATM chain check is *not* re-run, because its checks and any
+// violations it found are already part of the serialized counters.
+accelflow_sim::impl_snapshot! {
+    struct Auditor {
+        checks, violation_count, violations, admitted, terminated, measured_admitted,
+        measured_terminated, terminated_flags, calls_started, calls_ended, finished_calls,
+        last_event_time, last_core_busy, last_accel_busy, last_activity_events, last_dma_bytes,
+        last_atm_reads, last_overflows, last_rejections, dark_until,
     }
 }
 

@@ -32,44 +32,11 @@ use super::{
 /// machine magic so the two snapshot kinds can never be confused.
 pub const CLUSTER_SNAPSHOT_MAGIC: [u8; 4] = *b"AFCS";
 
-impl Snapshot for HealthReport {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.polls);
-        w.u64(self.suspensions);
-        w.u64(self.recoveries);
-        w.u64(self.relocations);
-        self.dispatched.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(HealthReport {
-            polls: r.u64()?,
-            suspensions: r.u64()?,
-            recoveries: r.u64()?,
-            relocations: r.u64()?,
-            dispatched: Vec::load(r)?,
-        })
-    }
+accelflow_sim::impl_snapshot! {
+    struct HealthReport { polls, suspensions, recoveries, relocations, dispatched }
 }
 
-impl Snapshot for CEv {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            CEv::Node(node, ev) => {
-                w.u8(0);
-                w.u16(*node);
-                ev.save(w);
-            }
-            CEv::KeepAlive => w.u8(1),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => CEv::Node(r.u16()?, Ev::load(r)?),
-            1 => CEv::KeepAlive,
-            other => return Err(SnapshotError::Corrupt(format!("unknown CEv tag {other}"))),
-        })
-    }
-}
+accelflow_sim::impl_snapshot! { enum CEv { 0 => Node(node, ev), 1 => KeepAlive } }
 
 /// Writes a node's per-node queue record. Nodes schedule straight into
 /// the outer queue, so the record is always an empty event queue (the

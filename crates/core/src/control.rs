@@ -391,149 +391,49 @@ impl ControlState {
 
 // ----- checkpoint serialization (see docs/CHECKPOINT.md) -----
 
-use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
+use accelflow_sim::impl_snapshot;
+use accelflow_sim::snapshot::SnapshotError;
 
-impl Snapshot for RateLimit {
-    fn save(&self, w: &mut SnapWriter) {
-        w.f64(self.tokens_per_sec);
-        w.f64(self.burst);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RateLimit {
-            tokens_per_sec: r.f64()?,
-            burst: r.f64()?,
-        })
+impl_snapshot! { struct RateLimit { tokens_per_sec, burst } }
+
+impl_snapshot! {
+    struct AutoscalerConfig { interval, initial_lit, adaptive, light_above, darken_below }
+}
+
+impl_snapshot! { struct SloTarget { window, p99_target } }
+
+impl_snapshot! { struct ControlConfig { rate_limit, max_live, autoscaler, slo } }
+
+impl_snapshot! {
+    struct ControlStats {
+        admitted, rate_limited, shed, slo_windows, slo_windows_met, scale_ups, scale_downs,
+        scaler_samples, scaler_dark_time,
     }
 }
 
-impl Snapshot for AutoscalerConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        self.interval.save(w);
-        w.usize(self.initial_lit);
-        w.bool(self.adaptive);
-        w.f64(self.light_above);
-        w.f64(self.darken_below);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AutoscalerConfig {
-            interval: SimDuration::load(r)?,
-            initial_lit: r.usize()?,
-            adaptive: r.bool()?,
-            light_above: r.f64()?,
-            darken_below: r.f64()?,
-        })
-    }
+impl_snapshot! { struct TokenBucket { tokens, refilled_at } }
+
+// Control is deterministic (no RNG), so round-tripping the buckets,
+// lit set, windowed signal, and the open SLO window is everything a
+// restored run needs to keep making identical decisions.
+impl_snapshot! {
+    struct ControlState {
+        cfg, buckets, lit, dark_since, prev_busy, prev_tick, signal, window_start, window_total,
+        window_over, stats,
+    } check ControlState::check_loaded
 }
 
-impl Snapshot for SloTarget {
-    fn save(&self, w: &mut SnapWriter) {
-        self.window.save(w);
-        self.p99_target.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SloTarget {
-            window: SimDuration::load(r)?,
-            p99_target: SimDuration::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for ControlConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        self.rate_limit.save(w);
-        self.max_live.save(w);
-        self.autoscaler.save(w);
-        self.slo.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ControlConfig {
-            rate_limit: Option::load(r)?,
-            max_live: Option::load(r)?,
-            autoscaler: Option::load(r)?,
-            slo: Option::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for ControlStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.admitted);
-        w.u64(self.rate_limited);
-        w.u64(self.shed);
-        w.u64(self.slo_windows);
-        w.u64(self.slo_windows_met);
-        w.u64(self.scale_ups);
-        w.u64(self.scale_downs);
-        w.u64(self.scaler_samples);
-        self.scaler_dark_time.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ControlStats {
-            admitted: r.u64()?,
-            rate_limited: r.u64()?,
-            shed: r.u64()?,
-            slo_windows: r.u64()?,
-            slo_windows_met: r.u64()?,
-            scale_ups: r.u64()?,
-            scale_downs: r.u64()?,
-            scaler_samples: r.u64()?,
-            scaler_dark_time: SimDuration::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for TokenBucket {
-    fn save(&self, w: &mut SnapWriter) {
-        w.f64(self.tokens);
-        self.refilled_at.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TokenBucket {
-            tokens: r.f64()?,
-            refilled_at: SimTime::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for ControlState {
-    /// Control is deterministic (no RNG), so round-tripping the buckets,
-    /// lit set, windowed signal, and the open SLO window is everything a
-    /// restored run needs to keep making identical decisions.
-    fn save(&self, w: &mut SnapWriter) {
-        self.cfg.save(w);
-        self.buckets.save(w);
-        self.lit.save(w);
-        self.dark_since.save(w);
-        self.prev_busy.save(w);
-        self.prev_tick.save(w);
-        self.signal.save(w);
-        self.window_start.save(w);
-        w.u64(self.window_total);
-        w.u64(self.window_over);
-        self.stats.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let state = ControlState {
-            cfg: ControlConfig::load(r)?,
-            buckets: Vec::load(r)?,
-            lit: Vec::load(r)?,
-            dark_since: Vec::load(r)?,
-            prev_busy: Vec::load(r)?,
-            prev_tick: SimTime::load(r)?,
-            signal: Sampler::load(r)?,
-            window_start: SimTime::load(r)?,
-            window_total: r.u64()?,
-            window_over: r.u64()?,
-            stats: ControlStats::load(r)?,
-        };
-        if state.lit.len() != state.dark_since.len() {
+impl ControlState {
+    /// Refuses a lit set and dark-since table of different lengths.
+    fn check_loaded(&self) -> Result<(), SnapshotError> {
+        if self.lit.len() != self.dark_since.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "lit set of {} stations with {} dark-since entries",
-                state.lit.len(),
-                state.dark_since.len()
+                self.lit.len(),
+                self.dark_since.len()
             )));
         }
-        Ok(state)
+        Ok(())
     }
 }
 

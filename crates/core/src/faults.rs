@@ -365,139 +365,57 @@ impl FaultState {
 
 // ----- checkpoint serialization (see docs/CHECKPOINT.md) -----
 
-use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
+use accelflow_sim::impl_snapshot;
+use accelflow_sim::snapshot::SnapshotError;
 
-impl Snapshot for FaultClass {
-    fn save(&self, w: &mut SnapWriter) {
-        // Stable one-byte tags, independent of declaration order.
-        w.u8(match self {
-            FaultClass::AccelStall => 0,
-            FaultClass::DmaError => 1,
-            FaultClass::TlbShootdown => 2,
-            FaultClass::QueueDrop => 3,
-            FaultClass::AtmMiss => 4,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => FaultClass::AccelStall,
-            1 => FaultClass::DmaError,
-            2 => FaultClass::TlbShootdown,
-            3 => FaultClass::QueueDrop,
-            4 => FaultClass::AtmMiss,
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown FaultClass tag {other}"
-                )))
-            }
-        })
+// Stable one-byte tags, independent of declaration order.
+impl_snapshot! {
+    enum FaultClass {
+        0 => AccelStall,
+        1 => DmaError,
+        2 => TlbShootdown,
+        3 => QueueDrop,
+        4 => AtmMiss,
     }
 }
 
-impl Snapshot for FaultConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.f64(self.stall_rate_per_ms);
-        w.f64(self.dma_error_rate_per_ms);
-        w.f64(self.tlb_shootdown_rate_per_ms);
-        w.f64(self.queue_drop_rate_per_ms);
-        w.f64(self.atm_miss_rate_per_ms);
-        self.stall_duration.save(w);
-        self.atm_miss_penalty.save(w);
-        w.u32(self.max_retries);
-        self.backoff_base.save(w);
-        w.u64(self.seed_salt);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultConfig {
-            stall_rate_per_ms: r.f64()?,
-            dma_error_rate_per_ms: r.f64()?,
-            tlb_shootdown_rate_per_ms: r.f64()?,
-            queue_drop_rate_per_ms: r.f64()?,
-            atm_miss_rate_per_ms: r.f64()?,
-            stall_duration: SimDuration::load(r)?,
-            atm_miss_penalty: SimDuration::load(r)?,
-            max_retries: r.u32()?,
-            backoff_base: SimDuration::load(r)?,
-            seed_salt: r.u64()?,
-        })
+impl_snapshot! {
+    struct FaultConfig {
+        stall_rate_per_ms, dma_error_rate_per_ms, tlb_shootdown_rate_per_ms,
+        queue_drop_rate_per_ms, atm_miss_rate_per_ms, stall_duration, atm_miss_penalty,
+        max_retries, backoff_base, seed_salt,
     }
 }
 
-impl Snapshot for FaultStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.stalls);
-        self.stall_dark_time.save(w);
-        w.u64(self.jobs_failed);
-        w.u64(self.dma_errors);
-        w.u64(self.tlb_shootdowns);
-        w.u64(self.tlb_entries_flushed);
-        w.u64(self.queue_drops);
-        w.u64(self.atm_misses);
-        w.u64(self.atm_refetches);
-        w.u64(self.retries);
-        self.backoff_time.save(w);
-        w.u64(self.redispatches);
-        w.u64(self.degraded);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultStats {
-            stalls: r.u64()?,
-            stall_dark_time: SimDuration::load(r)?,
-            jobs_failed: r.u64()?,
-            dma_errors: r.u64()?,
-            tlb_shootdowns: r.u64()?,
-            tlb_entries_flushed: r.u64()?,
-            queue_drops: r.u64()?,
-            atm_misses: r.u64()?,
-            atm_refetches: r.u64()?,
-            retries: r.u64()?,
-            backoff_time: SimDuration::load(r)?,
-            redispatches: r.u64()?,
-            degraded: r.u64()?,
-        })
+impl_snapshot! {
+    struct FaultStats {
+        stalls, stall_dark_time, jobs_failed, dma_errors, tlb_shootdowns, tlb_entries_flushed,
+        queue_drops, atm_misses, atm_refetches, retries, backoff_time, redispatches, degraded,
     }
 }
 
-impl Snapshot for FaultState {
-    /// The injector round-trips whole — config, the private RNG stream
-    /// position, dark windows, poison flags, armed errors, and retry
-    /// bookkeeping — so a restored run replays the exact same fault
-    /// realization the straight run would have produced.
-    fn save(&self, w: &mut SnapWriter) {
-        self.cfg.save(w);
-        self.rng.save(w);
-        self.avail.save(w);
-        self.poisoned.save(w);
-        w.usize(self.pes_per_station);
-        w.u32(self.pending_dma_errors);
-        w.u32(self.pending_atm_misses);
-        self.retries.save(w);
-        self.stats.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let cfg = FaultConfig::load(r)?;
-        let rng = SimRng::load(r)?;
-        let avail = AvailabilitySet::load(r)?;
-        let poisoned = Vec::<bool>::load(r)?;
-        let pes_per_station = r.usize()?;
-        if pes_per_station == 0 || poisoned.len() % pes_per_station != 0 {
+// The injector round-trips whole — config, the private RNG stream
+// position, dark windows, poison flags, armed errors, and retry
+// bookkeeping — so a restored run replays the exact same fault
+// realization the straight run would have produced.
+impl_snapshot! {
+    struct FaultState {
+        cfg, rng, avail, poisoned, pes_per_station, pending_dma_errors, pending_atm_misses,
+        retries, stats,
+    } check FaultState::check_loaded
+}
+
+impl FaultState {
+    /// Refuses a poison table that does not divide into stations.
+    fn check_loaded(&self) -> Result<(), SnapshotError> {
+        if self.pes_per_station == 0 || !self.poisoned.len().is_multiple_of(self.pes_per_station) {
             return Err(SnapshotError::Corrupt(format!(
                 "poison table of {} flags not divisible into stations of {} PEs",
-                poisoned.len(),
-                pes_per_station
+                self.poisoned.len(),
+                self.pes_per_station
             )));
         }
-        Ok(FaultState {
-            cfg,
-            rng,
-            avail,
-            poisoned,
-            pes_per_station,
-            pending_dma_errors: r.u32()?,
-            pending_atm_misses: r.u32()?,
-            retries: Vec::load(r)?,
-            stats: FaultStats::load(r)?,
-        })
+        Ok(())
     }
 }
 

@@ -16,8 +16,8 @@
 //! carried over. See `docs/CHECKPOINT.md` for the captured/not-captured
 //! accounting and the determinism argument.
 
-use accelflow_accel::queue::TenantId;
 use accelflow_sim::engine::{EventQueue, Model, Simulation};
+use accelflow_sim::impl_snapshot;
 use accelflow_sim::slab::SlotId;
 use accelflow_sim::snapshot::{
     check_header, fnv1a, write_header, SnapReader, SnapWriter, Snapshot, SnapshotError,
@@ -27,7 +27,7 @@ use accelflow_trace::kind::AccelKind;
 
 use crate::arrivals::Arrival;
 use crate::request::ServiceSpec;
-use crate::request::{CallAddr, Program, ServiceId};
+use crate::request::{CallAddr, ServiceId};
 use crate::stats::{Breakdown, MachineTotals, RunReport, ServiceStats};
 
 use super::accounting::TelState;
@@ -46,14 +46,7 @@ const DRAIN_MARGIN: SimDuration = SimDuration::from_millis(30);
 // `Program` writes its own wire form next to its flat layout
 // (`request/program.rs`).
 
-impl Snapshot for ServiceId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ServiceId(r.usize()?))
-    }
-}
+impl_snapshot! { struct ServiceId { 0 } }
 
 impl Snapshot for CallAddr {
     fn save(&self, w: &mut SnapWriter) {
@@ -65,305 +58,68 @@ impl Snapshot for CallAddr {
     }
 }
 
-impl Snapshot for Arrival {
-    fn save(&self, w: &mut SnapWriter) {
-        self.at.save(w);
-        self.service.save(w);
-        self.tenant.save(w);
-        self.program.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Arrival {
-            at: SimTime::load(r)?,
-            service: ServiceId::load(r)?,
-            tenant: TenantId::load(r)?,
-            program: Program::load(r)?,
-        })
+impl_snapshot! { struct Arrival { at, service, tenant, program } }
+
+impl_snapshot! {
+    struct super::lifecycle::RequestState {
+        service, tenant, arrival, measured, program, step, pending_calls, active_calls,
+        completed_pars, deadline, done, error,
     }
 }
 
-impl Snapshot for super::lifecycle::RequestState {
-    fn save(&self, w: &mut SnapWriter) {
-        self.service.save(w);
-        self.tenant.save(w);
-        self.arrival.save(w);
-        w.bool(self.measured);
-        self.program.save(w);
-        w.usize(self.step);
-        w.u32(self.pending_calls);
-        w.u32(self.active_calls);
-        w.u32(self.completed_pars);
-        self.deadline.save(w);
-        w.bool(self.done);
-        w.bool(self.error);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(super::lifecycle::RequestState {
-            service: ServiceId::load(r)?,
-            tenant: TenantId::load(r)?,
-            arrival: SimTime::load(r)?,
-            measured: r.bool()?,
-            program: Program::load(r)?,
-            step: r.usize()?,
-            pending_calls: r.u32()?,
-            active_calls: r.u32()?,
-            completed_pars: r.u32()?,
-            deadline: Option::load(r)?,
-            done: r.bool()?,
-            error: r.bool()?,
-        })
-    }
-}
-
-impl Snapshot for SharedJob {
-    fn save(&self, w: &mut SnapWriter) {
-        self.entry.save(w);
-        self.kind.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SharedJob {
-            entry: accelflow_accel::queue::QueueEntry::load(r)?,
-            kind: AccelKind::load(r)?,
-        })
-    }
-}
+impl_snapshot! { struct SharedJob { entry, kind } }
 
 // ----- event serialization -----
 
-impl Snapshot for Ev {
-    fn save(&self, w: &mut SnapWriter) {
-        // Stable one-byte tags, independent of declaration order.
-        match self {
-            Ev::Arrive(idx) => {
-                w.u8(0);
-                w.u32(*idx);
-            }
-            Ev::StartStep(req) => {
-                w.u8(1);
-                w.u32(*req);
-            }
-            Ev::AppDone(req) => {
-                w.u8(2);
-                w.u32(*req);
-            }
-            Ev::HopArrive(addr) => {
-                w.u8(3);
-                addr.save(w);
-            }
-            Ev::HopArriveRetry(addr) => {
-                w.u8(4);
-                addr.save(w);
-            }
-            Ev::ExternalArriveCpu(addr) => {
-                w.u8(5);
-                addr.save(w);
-            }
-            Ev::PeDone {
-                addr,
-                accel,
-                pe,
-                busy_ps,
-            } => {
-                w.u8(6);
-                addr.save(w);
-                w.u8(*accel);
-                w.u8(*pe);
-                w.u64(*busy_ps);
-            }
-            Ev::TryStart(accel) => {
-                w.u8(7);
-                w.u8(*accel);
-            }
-            Ev::ExternalArrive(addr) => {
-                w.u8(8);
-                addr.save(w);
-            }
-            Ev::CallDone {
-                req,
-                step,
-                par,
-                error,
-            } => {
-                w.u8(9);
-                w.u32(*req);
-                w.u8(*step);
-                w.u8(*par);
-                w.bool(*error);
-            }
-            Ev::FallbackDone(addr) => {
-                w.u8(10);
-                addr.save(w);
-            }
-            Ev::Timeout { req, step, par } => {
-                w.u8(11);
-                w.u32(*req);
-                w.u8(*step);
-                w.u8(*par);
-            }
-            Ev::FaultInject(class) => {
-                w.u8(12);
-                class.save(w);
-            }
-            Ev::StallEnd(station) => {
-                w.u8(13);
-                w.u8(*station);
-            }
-            Ev::ScaleTick => w.u8(14),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Ev::Arrive(r.u32()?),
-            1 => Ev::StartStep(r.u32()?),
-            2 => Ev::AppDone(r.u32()?),
-            3 => Ev::HopArrive(CallAddr::load(r)?),
-            4 => Ev::HopArriveRetry(CallAddr::load(r)?),
-            5 => Ev::ExternalArriveCpu(CallAddr::load(r)?),
-            6 => Ev::PeDone {
-                addr: CallAddr::load(r)?,
-                accel: r.u8()?,
-                pe: r.u8()?,
-                busy_ps: r.u64()?,
-            },
-            7 => Ev::TryStart(r.u8()?),
-            8 => Ev::ExternalArrive(CallAddr::load(r)?),
-            9 => Ev::CallDone {
-                req: r.u32()?,
-                step: r.u8()?,
-                par: r.u8()?,
-                error: r.bool()?,
-            },
-            10 => Ev::FallbackDone(CallAddr::load(r)?),
-            11 => Ev::Timeout {
-                req: r.u32()?,
-                step: r.u8()?,
-                par: r.u8()?,
-            },
-            12 => Ev::FaultInject(crate::faults::FaultClass::load(r)?),
-            13 => Ev::StallEnd(r.u8()?),
-            14 => Ev::ScaleTick,
-            other => return Err(SnapshotError::Corrupt(format!("unknown Ev tag {other}"))),
-        })
+// Stable one-byte tags, independent of declaration order.
+impl_snapshot! {
+    enum Ev {
+        0 => Arrive(idx),
+        1 => StartStep(req),
+        2 => AppDone(req),
+        3 => HopArrive(addr),
+        4 => HopArriveRetry(addr),
+        5 => ExternalArriveCpu(addr),
+        6 => PeDone { addr, accel, pe, busy_ps },
+        7 => TryStart(accel),
+        8 => ExternalArrive(addr),
+        9 => CallDone { req, step, par, error },
+        10 => FallbackDone(addr),
+        11 => Timeout { req, step, par },
+        12 => FaultInject(class),
+        13 => StallEnd(station),
+        14 => ScaleTick,
     }
 }
 
 // ----- measurement-sink serialization -----
 
-impl Snapshot for Breakdown {
-    fn save(&self, w: &mut SnapWriter) {
-        self.cpu.save(w);
-        self.accel.save(w);
-        self.orchestration.save(w);
-        self.communication.save(w);
-        self.external.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Breakdown {
-            cpu: SimDuration::load(r)?,
-            accel: SimDuration::load(r)?,
-            orchestration: SimDuration::load(r)?,
-            communication: SimDuration::load(r)?,
-            external: SimDuration::load(r)?,
-        })
+impl_snapshot! {
+    struct Breakdown { cpu, accel, orchestration, communication, external }
+}
+
+impl_snapshot! {
+    struct ServiceStats {
+        name, latency, offered, completed, errors, deadline_misses, breakdown, tax_by_kind,
+        app_logic, samples,
     }
 }
 
-impl Snapshot for ServiceStats {
-    fn save(&self, w: &mut SnapWriter) {
-        self.name.save(w);
-        self.latency.save(w);
-        w.u64(self.offered);
-        w.u64(self.completed);
-        w.u64(self.errors);
-        w.u64(self.deadline_misses);
-        self.breakdown.save(w);
-        self.tax_by_kind.save(w);
-        self.app_logic.save(w);
-        self.samples.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ServiceStats {
-            name: String::load(r)?,
-            latency: accelflow_sim::stats::Histogram::load(r)?,
-            offered: r.u64()?,
-            completed: r.u64()?,
-            errors: r.u64()?,
-            deadline_misses: r.u64()?,
-            breakdown: Breakdown::load(r)?,
-            tax_by_kind: <[SimDuration; AccelKind::COUNT]>::load(r)?,
-            app_logic: SimDuration::load(r)?,
-            samples: Vec::load(r)?,
-        })
+impl_snapshot! {
+    struct MachineTotals {
+        fallbacks, overflows, enqueue_rejections, tcp_timeouts, page_faults, atm_reads,
+        dispatcher_instrs, dispatches, manager_jobs, manager_busy, accel_utilization, accel_jobs,
+        tlb, tenant_wipes, tenant_throttled, clamped_events, dma_bytes, energy,
     }
 }
 
-impl Snapshot for MachineTotals {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.fallbacks);
-        w.u64(self.overflows);
-        w.u64(self.enqueue_rejections);
-        w.u64(self.tcp_timeouts);
-        w.u64(self.page_faults);
-        w.u64(self.atm_reads);
-        w.u64(self.dispatcher_instrs);
-        w.u64(self.dispatches);
-        w.u64(self.manager_jobs);
-        self.manager_busy.save(w);
-        self.accel_utilization.save(w);
-        self.accel_jobs.save(w);
-        self.tlb.save(w);
-        w.u64(self.tenant_wipes);
-        w.u64(self.tenant_throttled);
-        w.u64(self.clamped_events);
-        w.u64(self.dma_bytes);
-        self.energy.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MachineTotals {
-            fallbacks: r.u64()?,
-            overflows: r.u64()?,
-            enqueue_rejections: r.u64()?,
-            tcp_timeouts: r.u64()?,
-            page_faults: r.u64()?,
-            atm_reads: r.u64()?,
-            dispatcher_instrs: r.u64()?,
-            dispatches: r.u64()?,
-            manager_jobs: r.u64()?,
-            manager_busy: SimDuration::load(r)?,
-            accel_utilization: <[f64; AccelKind::COUNT]>::load(r)?,
-            accel_jobs: <[u64; AccelKind::COUNT]>::load(r)?,
-            tlb: <[(u64, u64); AccelKind::COUNT]>::load(r)?,
-            tenant_wipes: r.u64()?,
-            tenant_throttled: r.u64()?,
-            clamped_events: r.u64()?,
-            dma_bytes: r.u64()?,
-            energy: accelflow_arch::energy::EnergyReport::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for TelState {
-    /// The telemetry ring restores *empty* (records hold `&'static str`
-    /// names that cannot round-trip through bytes); `emitted`/`dropped`
-    /// counters, labels, and the windowed sampler all persist, so a
-    /// restored run's telemetry report differs from a straight run's
-    /// only in which record window the ring retains — documented in
-    /// `docs/CHECKPOINT.md` under "not captured".
-    fn save(&self, w: &mut SnapWriter) {
-        self.sink.save(w);
-        self.sampler.save(w);
-        self.prev_busy.save(w);
-        self.prev_at.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TelState {
-            sink: accelflow_sim::telemetry::Telemetry::load(r)?,
-            sampler: accelflow_sim::telemetry::Sampler::load(r)?,
-            prev_busy: Vec::load(r)?,
-            prev_at: SimTime::load(r)?,
-        })
-    }
-}
+// The telemetry ring restores *empty* (records hold `&'static str`
+// names that cannot round-trip through bytes); `emitted`/`dropped`
+// counters, labels, and the windowed sampler all persist, so a restored
+// run's telemetry report differs from a straight run's only in which
+// record window the ring retains — documented in `docs/CHECKPOINT.md`
+// under "not captured".
+impl_snapshot! { struct TelState { sink, sampler, prev_busy, prev_at } }
 
 // ----- whole-machine checkpoint -----
 

@@ -524,55 +524,13 @@ pub fn sample_call(
 // steps and hops inside segments, each list length-prefixed. It is
 // written here from the flat records, field for field.
 
-impl Snapshot for SegmentEnd {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            SegmentEnd::ToCpu => w.u8(0),
-            SegmentEnd::Continue => w.u8(1),
-            SegmentEnd::AwaitResponse { external } => {
-                w.u8(2);
-                external.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => SegmentEnd::ToCpu,
-            1 => SegmentEnd::Continue,
-            2 => SegmentEnd::AwaitResponse {
-                external: SimDuration::load(r)?,
-            },
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown SegmentEnd tag {other}"
-                )))
-            }
-        })
-    }
+accelflow_sim::impl_snapshot! {
+    enum SegmentEnd { 0 => ToCpu, 1 => Continue, 2 => AwaitResponse { external } }
 }
 
-impl Snapshot for HopExec {
-    fn save(&self, w: &mut SnapWriter) {
-        self.kind.save(w);
-        self.pm.save(w);
-        w.u64(self.in_bytes);
-        w.u64(self.out_bytes);
-        w.u32(self.glue_instrs);
-        w.u8(self.branches_after);
-        w.bool(self.transform_after);
-        w.bool(self.fork_after);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(HopExec {
-            kind: AccelKind::load(r)?,
-            pm: PositionMark::load(r)?,
-            in_bytes: r.u64()?,
-            out_bytes: r.u64()?,
-            glue_instrs: r.u32()?,
-            branches_after: r.u8()?,
-            transform_after: r.bool()?,
-            fork_after: r.bool()?,
-        })
+accelflow_sim::impl_snapshot! {
+    struct HopExec {
+        kind, pm, in_bytes, out_bytes, glue_instrs, branches_after, transform_after, fork_after,
     }
 }
 

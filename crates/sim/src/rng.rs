@@ -204,22 +204,7 @@ impl SimRng {
     }
 }
 
-impl crate::snapshot::Snapshot for SimRng {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        for word in &self.s {
-            w.u64(*word);
-        }
-    }
-    fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        Ok(SimRng { s })
-    }
-}
+crate::impl_snapshot! { struct SimRng { s } }
 
 #[cfg(test)]
 mod tests {

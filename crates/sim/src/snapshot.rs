@@ -20,6 +20,12 @@
 //! - There is no self-description: reader and writer must agree on the
 //!   layout, which is what [`SCHEMA_VERSION`] pins. Any layout change
 //!   must bump it.
+//!
+//! Most layouts are declared once with [`impl_snapshot!`](crate::impl_snapshot):
+//! a struct's field list, or an enum's tag table, generates both
+//! `save` and `load`, so the two directions cannot disagree. Only
+//! primitives, containers and types that hide a format or rebuild
+//! state on load write their impls by hand.
 
 use std::collections::VecDeque;
 
@@ -272,12 +278,124 @@ pub trait Snapshot: Sized {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError>;
 }
 
+/// Declares a [`Snapshot`] impl from one layout: a struct's fields in
+/// wire order, or an enum's one-byte tag table. `save` and `load` are
+/// both generated from the same list, so they cannot disagree.
+///
+/// - `struct Ty { a, b, c }` writes and reads the listed fields in the
+///   listed order; tuple structs name fields by position (`{ 0 }`).
+///   Every field must be listed. An optional trailing `check path`
+///   names a `fn(&Ty) -> Result<(), SnapshotError>` run on the loaded
+///   value, for invariants the restore must refuse to trust.
+/// - `enum Ty { 0 => A(x), 1 => B { f, g }, 2 => C }` writes the tag
+///   byte, then the variant's fields in order. A tag outside the table
+///   fails to load with `Corrupt("unknown Ty tag N")`.
+///
+/// The list order *is* the wire order: adding, removing or reordering
+/// an entry changes the format, which means bumping [`SCHEMA_VERSION`].
+///
+/// ```
+/// use accelflow_sim::impl_snapshot;
+/// use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Celsius(u16);
+/// impl_snapshot! { struct Celsius { 0 } }
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Range { lo: u32, hi: u32, unit: Celsius }
+/// impl_snapshot! { struct Range { lo, hi, unit } check ordered }
+/// fn ordered(r: &Range) -> Result<(), SnapshotError> {
+///     if r.lo > r.hi {
+///         return Err(SnapshotError::Corrupt("lo above hi".into()));
+///     }
+///     Ok(())
+/// }
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Reading { Missing, One(Celsius), Span { range: Range, stale: bool } }
+/// impl_snapshot! {
+///     enum Reading { 0 => Missing, 1 => One(c), 7 => Span { range, stale } }
+/// }
+///
+/// let value = Reading::Span { range: Range { lo: 3, hi: 9, unit: Celsius(1) }, stale: true };
+/// let mut w = SnapWriter::new();
+/// value.save(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes[0], 7, "the tag byte leads");
+/// assert_eq!(Reading::load(&mut SnapReader::new(&bytes)).unwrap(), value);
+///
+/// // The check refuses an inverted range...
+/// let mut w = SnapWriter::new();
+/// Range { lo: 9, hi: 3, unit: Celsius(1) }.save(&mut w);
+/// let bytes = w.into_bytes();
+/// assert!(Range::load(&mut SnapReader::new(&bytes)).is_err());
+///
+/// // ...and an unknown tag is corruption, not a panic.
+/// assert_eq!(
+///     Reading::load(&mut SnapReader::new(&[4])).unwrap_err(),
+///     SnapshotError::Corrupt("unknown Reading tag 4".into()),
+/// );
+/// ```
+#[macro_export]
+macro_rules! impl_snapshot {
+    (struct $ty:ty { $($field:tt),* $(,)? } $(check $check:path)?) => {
+        impl $crate::snapshot::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $( $crate::snapshot::Snapshot::save(&self.$field, w); )*
+            }
+            fn load(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                let value = Self { $( $field: $crate::snapshot::Snapshot::load(r)? ),* };
+                $( $check(&value)?; )?
+                Ok(value)
+            }
+        }
+    };
+    (enum $ty:ty {
+        $( $tag:literal => $variant:ident
+            $( ( $($tuple:ident),* ) )?
+            $( { $($named:ident),* } )?
+        ),* $(,)?
+    }) => {
+        impl $crate::snapshot::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                match self {
+                    $( Self::$variant $( ( $($tuple),* ) )? $( { $($named),* } )? => {
+                        w.u8($tag);
+                        $( $( $crate::snapshot::Snapshot::save($tuple, w); )* )?
+                        $( $( $crate::snapshot::Snapshot::save($named, w); )* )?
+                    } )*
+                }
+            }
+            fn load(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                match r.u8()? {
+                    $( $tag => {
+                        $( $( let $tuple = $crate::snapshot::Snapshot::load(r)?; )* )?
+                        $( $( let $named = $crate::snapshot::Snapshot::load(r)?; )* )?
+                        Ok(Self::$variant $( ( $($tuple),* ) )? $( { $($named),* } )?)
+                    } )*
+                    other => Err($crate::snapshot::SnapshotError::Corrupt(format!(
+                        "unknown {} tag {other}",
+                        stringify!($ty)
+                    ))),
+                }
+            }
+        }
+    };
+}
+
 macro_rules! prim_snapshot {
     ($t:ty, $w:ident, $r:ident) => {
         impl Snapshot for $t {
+            #[inline]
             fn save(&self, w: &mut SnapWriter) {
                 w.$w(*self);
             }
+            #[inline]
             fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
                 r.$r()
             }
@@ -292,6 +410,19 @@ prim_snapshot!(u64, u64, u64);
 prim_snapshot!(usize, usize, usize);
 prim_snapshot!(f64, f64, f64);
 prim_snapshot!(bool, bool, bool);
+
+impl Snapshot for u128 {
+    /// Two `u64` halves, low word first.
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(*self as u64);
+        w.u64((*self >> 64) as u64);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let lo = r.u64()?;
+        let hi = r.u64()?;
+        Ok(lo as u128 | (hi as u128) << 64)
+    }
+}
 
 impl Snapshot for String {
     fn save(&self, w: &mut SnapWriter) {
@@ -529,6 +660,17 @@ mod tests {
         assert_eq!(<(u8, u64)>::load(&mut r).unwrap(), (1, 2));
         assert_eq!(<[u32; 3]>::load(&mut r).unwrap(), [7; 3]);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn u128_travels_as_two_halves_low_word_first() {
+        let v = (7u128 << 64) | 9;
+        let mut w = SnapWriter::new();
+        v.save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes[..8], 9u64.to_le_bytes());
+        assert_eq!(bytes[8..], 7u64.to_le_bytes());
+        assert_eq!(u128::load(&mut SnapReader::new(&bytes)).unwrap(), v);
     }
 
     #[test]

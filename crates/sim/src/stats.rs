@@ -288,35 +288,7 @@ impl Counter {
     }
 }
 
-impl crate::snapshot::Snapshot for Histogram {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.buckets.save(w);
-        w.u64(self.count);
-        // u128 travels as two u64 halves, low word first.
-        w.u64(self.sum as u64);
-        w.u64((self.sum >> 64) as u64);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-    fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let buckets = Vec::<u64>::load(r)?;
-        let count = r.u64()?;
-        let lo = r.u64()?;
-        let hi = r.u64()?;
-        let sum = (lo as u128) | ((hi as u128) << 64);
-        let min = r.u64()?;
-        let max = r.u64()?;
-        Ok(Histogram {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        })
-    }
-}
+crate::impl_snapshot! { struct Histogram { buckets, count, sum, min, max } }
 
 #[cfg(test)]
 mod tests {

@@ -1082,93 +1082,43 @@ impl Json {
     }
 }
 
-impl crate::snapshot::Snapshot for CompKind {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u8(match self {
-            CompKind::Machine => 0,
-            CompKind::Accelerator => 1,
-            CompKind::Dma => 2,
-            CompKind::Manager => 3,
-            CompKind::Atm => 4,
-            CompKind::Tlb => 5,
-            CompKind::Link => 6,
-        });
-    }
-    fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        Ok(match r.u8()? {
-            0 => CompKind::Machine,
-            1 => CompKind::Accelerator,
-            2 => CompKind::Dma,
-            3 => CompKind::Manager,
-            4 => CompKind::Atm,
-            5 => CompKind::Tlb,
-            6 => CompKind::Link,
-            other => {
-                return Err(crate::snapshot::SnapshotError::Corrupt(format!(
-                    "unknown CompKind tag {other}"
-                )))
-            }
-        })
+crate::impl_snapshot! {
+    enum CompKind {
+        0 => Machine,
+        1 => Accelerator,
+        2 => Dma,
+        3 => Manager,
+        4 => Atm,
+        5 => Tlb,
+        6 => Link,
     }
 }
 
-impl crate::snapshot::Snapshot for CompId {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.kind.save(w);
-        w.u16(self.index);
-    }
-    fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        Ok(CompId {
-            kind: CompKind::load(r)?,
-            index: r.u16()?,
-        })
-    }
+crate::impl_snapshot! { struct CompId { kind, index } }
+
+crate::impl_snapshot! {
+    struct Sampler { interval, next, columns, rows, missed } check Sampler::check_loaded
 }
 
-impl crate::snapshot::Snapshot for Sampler {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.interval.save(w);
-        self.next.save(w);
-        self.columns.save(w);
-        self.rows.save(w);
-        w.u64(self.missed);
-    }
-    fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let interval = SimDuration::load(r)?;
-        if interval.is_zero() {
-            return Err(crate::snapshot::SnapshotError::Corrupt(
-                "sampler interval is zero".into(),
-            ));
+impl Sampler {
+    /// Refuses a loaded sampler that could never have been built: a
+    /// zero interval, no columns, or a row of the wrong width.
+    fn check_loaded(&self) -> Result<(), crate::snapshot::SnapshotError> {
+        let corrupt = |why: &str| Err(crate::snapshot::SnapshotError::Corrupt(why.into()));
+        if self.interval.is_zero() {
+            return corrupt("sampler interval is zero");
         }
-        let next = SimTime::load(r)?;
-        let columns = Vec::<String>::load(r)?;
-        if columns.is_empty() {
-            return Err(crate::snapshot::SnapshotError::Corrupt(
-                "sampler has no columns".into(),
-            ));
+        if self.columns.is_empty() {
+            return corrupt("sampler has no columns");
         }
-        let rows = Vec::<(SimTime, Vec<u64>)>::load(r)?;
-        for (_, row) in &rows {
-            if row.len() != columns.len() {
-                return Err(crate::snapshot::SnapshotError::Corrupt(
-                    "sampler row width disagrees with columns".into(),
-                ));
-            }
+        if self
+            .rows
+            .iter()
+            .any(|(_, row)| row.len() != self.columns.len())
+        {
+            return corrupt("sampler row width disagrees with columns");
         }
-        let missed = r.u64()?;
-        Ok(Sampler {
-            interval,
-            next,
-            columns,
-            rows,
-            missed,
-        })
+        Ok(())
     }
 }
 

@@ -5,10 +5,15 @@
 //! `Arc`, serialized by content — traces are immutable once built, so a
 //! restored copy in a fresh `Arc` is behaviorally identical), and queue
 //! entries carry [`PositionMark`]s, [`AtmAddr`]s, and [`PayloadFlags`].
-//! Enums use stable one-byte tags independent of `as`-cast
-//! discriminants; unknown tags are rejected as corrupt rather than
-//! wrapped. See `docs/CHECKPOINT.md` for the wire format.
+//! Plain layouts are declared once with [`impl_snapshot!`]: field
+//! lists for the structs, a stable one-byte tag table for [`Slot`],
+//! independent of `as`-cast discriminants, with unknown tags rejected
+//! as corrupt rather than wrapped. The code tables of [`AccelKind`],
+//! [`DataFormat`] and [`BranchCond`] and the revalidating [`Trace`]
+//! load are written by hand. See `docs/CHECKPOINT.md` for the wire
+//! format.
 
+use accelflow_sim::impl_snapshot;
 use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
 
 use crate::atm::AtmAddr;
@@ -39,18 +44,7 @@ impl Snapshot for DataFormat {
     }
 }
 
-impl Snapshot for Transform {
-    fn save(&self, w: &mut SnapWriter) {
-        self.src.save(w);
-        self.dst.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Transform {
-            src: DataFormat::load(r)?,
-            dst: DataFormat::load(r)?,
-        })
-    }
-}
+impl_snapshot! { struct Transform { src, dst } }
 
 impl Snapshot for BranchCond {
     fn save(&self, w: &mut SnapWriter) {
@@ -71,97 +65,23 @@ impl Snapshot for BranchCond {
     }
 }
 
-impl Snapshot for AtmAddr {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AtmAddr(r.u16()?))
-    }
+impl_snapshot! { struct AtmAddr { 0 } }
+
+impl_snapshot! { struct PositionMark { 0 } }
+
+impl_snapshot! {
+    struct PayloadFlags { compressed, hit, found, exception, cache_compressed, custom_field }
 }
 
-impl Snapshot for PositionMark {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PositionMark(r.u8()?))
-    }
-}
-
-impl Snapshot for PayloadFlags {
-    fn save(&self, w: &mut SnapWriter) {
-        w.bool(self.compressed);
-        w.bool(self.hit);
-        w.bool(self.found);
-        w.bool(self.exception);
-        w.bool(self.cache_compressed);
-        w.u8(self.custom_field);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PayloadFlags {
-            compressed: r.bool()?,
-            hit: r.bool()?,
-            found: r.bool()?,
-            exception: r.bool()?,
-            cache_compressed: r.bool()?,
-            custom_field: r.u8()?,
-        })
-    }
-}
-
-impl Snapshot for Slot {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Slot::Accel(kind) => {
-                w.u8(0);
-                kind.save(w);
-            }
-            Slot::Branch {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                w.u8(1);
-                cond.save(w);
-                w.u8(*on_true);
-                w.u8(*on_false);
-            }
-            Slot::Jump(target) => {
-                w.u8(2);
-                w.u8(*target);
-            }
-            Slot::Transform(t) => {
-                w.u8(3);
-                t.save(w);
-            }
-            Slot::ForkToCpu => w.u8(4),
-            Slot::ToCpu => w.u8(5),
-            Slot::NextTrace(addr) => {
-                w.u8(6);
-                addr.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Slot::Accel(AccelKind::load(r)?),
-            1 => Slot::Branch {
-                cond: BranchCond::load(r)?,
-                on_true: r.u8()?,
-                on_false: r.u8()?,
-            },
-            2 => Slot::Jump(r.u8()?),
-            3 => Slot::Transform(Transform::load(r)?),
-            4 => Slot::ForkToCpu,
-            5 => Slot::ToCpu,
-            6 => Slot::NextTrace(AtmAddr::load(r)?),
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown trace Slot tag {other}"
-                )))
-            }
-        })
+impl_snapshot! {
+    enum Slot {
+        0 => Accel(kind),
+        1 => Branch { cond, on_true, on_false },
+        2 => Jump(target),
+        3 => Transform(t),
+        4 => ForkToCpu,
+        5 => ToCpu,
+        6 => NextTrace(addr),
     }
 }
 
