@@ -19,15 +19,23 @@ use crate::queue::QueueEntry;
 /// Returns the instruction count; the machine converts instructions to
 /// time at the dispatcher clock and charges energy per instruction.
 pub fn output_dispatch_instructions(advance: &Advance, payload_bytes: u64) -> u32 {
+    glue_instructions(&advance.actions, advance.next, payload_bytes)
+}
+
+/// [`output_dispatch_instructions`] of a walk given as its parts, for
+/// callers that walk into a reused buffer ([`Trace::advance_into`]).
+///
+/// [`Trace::advance_into`]: accelflow_trace::ir::Trace::advance_into
+pub fn glue_instructions(actions: &[GlueAction], next: Next, payload_bytes: u64) -> u32 {
     let mut instrs = 15u32;
-    for action in &advance.actions {
+    for action in actions {
         match action {
             GlueAction::Branch { cond, .. } => instrs += cond.resolve_instructions(),
             GlueAction::Transform(t) => instrs += t.dispatcher_instructions(payload_bytes),
             GlueAction::ForkToCpu => instrs += 18,
         }
     }
-    match advance.next {
+    match next {
         Next::Invoke { .. } => {}
         Next::Chain(_) => instrs += 14,
         Next::ToCpu => instrs += 18,

@@ -26,7 +26,7 @@ fn branch_stats(services: &[ServiceSpec]) -> (f64, usize) {
                 total += 1;
                 let branches: usize = c
                     .segments()
-                    .flat_map(|seg| seg.hops)
+                    .flat_map(|seg| seg.hops())
                     .map(|h| h.branches_after as usize)
                     .sum();
                 if branches > 0 {

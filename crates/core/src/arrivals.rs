@@ -69,13 +69,79 @@ pub fn poisson_arrivals(
             });
         }
     }
-    arrivals.sort_by_key(|a| a.at);
+    sort_by_time(&mut arrivals);
     arrivals
+}
+
+/// Sorts `arrivals` by time, stably: the order `sort_by_key(|a| a.at)`
+/// gives. It sorts `u32` indices in place, ties broken by index, and
+/// then moves each arrival once, so its scratch is 4 bytes per arrival;
+/// a stable sort of the list itself borrows up to half the list's
+/// bytes, which the allocator then keeps resident beside the list.
+///
+/// # Panics
+///
+/// Panics if there are more than `u32::MAX` arrivals.
+pub fn sort_by_time(arrivals: &mut [Arrival]) {
+    // A single service's stream is generated in order.
+    if arrivals.windows(2).all(|w| w[0].at <= w[1].at) {
+        return;
+    }
+    let n = u32::try_from(arrivals.len()).expect("arrival count fits u32");
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_unstable_by_key(|&i| (arrivals[i as usize].at, i));
+    // Position `i` takes the arrival at `order[i]`. Walk each cycle of
+    // the permutation once, marking a filled position with `order[i] = i`.
+    for start in 0..arrivals.len() {
+        let mut cur = start;
+        loop {
+            let next = order[cur] as usize;
+            order[cur] = cur as u32;
+            if next == start {
+                break;
+            }
+            arrivals.swap(cur, next);
+            cur = next;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accelflow_sim::time::Frequency;
+
+    #[test]
+    fn sort_by_time_is_the_stable_sort() {
+        let lib = TraceLibrary::standard();
+        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
+        let services = vec![ServiceSpec::new("a", vec![]), ServiceSpec::new("b", vec![])];
+        let mut arrivals = poisson_arrivals(
+            &services,
+            &lib,
+            &timing,
+            20_000.0,
+            SimDuration::from_millis(20),
+            3,
+        );
+        // Coarse instants make ties; tenants number the arrivals; a
+        // seeded shuffle leaves ties in no particular order.
+        let mut rng = SimRng::seed(8);
+        for (i, a) in arrivals.iter_mut().enumerate() {
+            a.at = SimTime::ZERO + SimDuration::from_micros(a.at.as_picos() / 50_000_000 * 50);
+            a.tenant = TenantId(i as u16);
+        }
+        for i in (1..arrivals.len()).rev() {
+            arrivals.swap(i, rng.index(i + 1));
+        }
+        let mut expected = arrivals.clone();
+        expected.sort_by_key(|a| a.at);
+        sort_by_time(&mut arrivals);
+        let key = |a: &Arrival| (a.at, a.tenant);
+        assert!(expected.len() > 500);
+        assert!(expected.windows(2).any(|w| w[0].at == w[1].at), "no ties");
+        assert!(arrivals.iter().map(key).eq(expected.iter().map(key)));
+    }
 
     #[test]
     fn buffer_pool_addresses_stay_disjoint_from_call_offsets() {

@@ -116,7 +116,7 @@ impl MachineCtx {
         let r = self.req(addr.req);
         let call = r.program.call(addr.step, addr.par);
         let seg = call.segment(addr.seg as usize);
-        let hop = &seg.hops[addr.hop as usize];
+        let hop = seg.hop(addr.hop as usize);
         let entry = QueueEntry {
             request: RequestId(addr.req as u64),
             tenant: r.tenant,

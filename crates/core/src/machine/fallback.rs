@@ -29,8 +29,7 @@ impl MachineCtx {
         }
         let work = {
             let seg = self.req(addr.req).program.segment(addr);
-            seg.hops
-                .iter()
+            seg.hops()
                 .map(|h| self.timing.cpu_time(h.kind, h.in_bytes))
                 .sum::<SimDuration>()
         };
@@ -49,8 +48,8 @@ impl MachineCtx {
     ) {
         let work = {
             let seg = self.req(addr.req).program.segment(addr);
-            seg.hops[addr.hop as usize..]
-                .iter()
+            seg.hops()
+                .skip(addr.hop as usize)
                 .map(|h| self.timing.cpu_time(h.kind, h.in_bytes))
                 .sum::<SimDuration>()
         };

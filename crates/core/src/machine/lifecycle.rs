@@ -106,7 +106,7 @@ impl MachineCtx {
         let mut total = self.cfg.arch.cycles(program.app_cycles() / self.app_factor);
         for call in program.calls() {
             for seg in call.segments() {
-                for hop in seg.hops {
+                for hop in seg.hops() {
                     total += self.timing.accel_time(hop.kind, hop.in_bytes);
                 }
                 if let SegmentEnd::AwaitResponse { external } = seg.end {

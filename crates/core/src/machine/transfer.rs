@@ -115,8 +115,8 @@ impl MachineCtx {
         let info = {
             let call = self.req(addr.req).program.call(addr.step, addr.par);
             let seg = call.segment(addr.seg as usize);
-            let hop = &seg.hops[addr.hop as usize];
-            let is_last = addr.hop as usize + 1 == seg.hops.len();
+            let hop = seg.hop(addr.hop as usize);
+            let is_last = addr.hop as usize + 1 == seg.hop_count();
             HopInfo {
                 kind: hop.kind,
                 out_bytes: hop.out_bytes,
@@ -127,7 +127,7 @@ impl MachineCtx {
                 next_kind: if is_last {
                     None
                 } else {
-                    Some(seg.hops[addr.hop as usize + 1].kind)
+                    Some(seg.hop(addr.hop as usize + 1).kind)
                 },
                 end: seg.end,
                 has_next_segment: (addr.seg as usize + 1) < call.segment_count(),

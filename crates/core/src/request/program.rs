@@ -8,12 +8,19 @@
 //! most four heap blocks. Segments refer to their trace through the
 //! library's shared `Arc`s — the way a queue entry refers to a trace
 //! resident in the ATM (paper §IV-A) — so sampling copies no trace.
+//!
+//! A hop is stored in 16 bytes. Its input size is not stored: a hop
+//! consumes what the hop before it produced, and a segment's first hop
+//! consumes the segment's entry size, so readers get each [`HopExec`]
+//! by value with `in_bytes` derived. Sampling walks the traces into
+//! one reused glue-action buffer, so it allocates only the program's
+//! own blocks.
 
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
-use accelflow_accel::dispatcher::output_dispatch_instructions;
+use accelflow_accel::dispatcher::glue_instructions;
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
@@ -74,11 +81,59 @@ struct SegmentRec {
     flags: PayloadFlags,
     entry_is_network: bool,
     end: SegmentEnd,
+    /// Payload size entering the first hop.
+    entry_bytes: u64,
     hops: Span,
 }
 
-/// One accelerator visit.
+/// One stored accelerator visit: a [`HopExec`] without its input size,
+/// which is the previous hop's `out_bytes` (or the segment's
+/// `entry_bytes` for its first hop), and with its two flags in `bits`.
 #[derive(Clone, Copy, Debug)]
+struct HopRec {
+    out_bytes: u64,
+    glue_instrs: u32,
+    kind: AccelKind,
+    pm: PositionMark,
+    branches_after: u8,
+    /// [`HopRec::TRANSFORM`] and [`HopRec::FORK`].
+    bits: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<HopRec>() == 16);
+
+impl HopRec {
+    const TRANSFORM: u8 = 1;
+    const FORK: u8 = 2;
+
+    fn store(hop: HopExec) -> Self {
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        HopRec {
+            out_bytes: hop.out_bytes,
+            glue_instrs: hop.glue_instrs,
+            kind: hop.kind,
+            pm: hop.pm,
+            branches_after: hop.branches_after,
+            bits: flag(hop.transform_after, Self::TRANSFORM) | flag(hop.fork_after, Self::FORK),
+        }
+    }
+
+    fn view(self, in_bytes: u64) -> HopExec {
+        HopExec {
+            kind: self.kind,
+            pm: self.pm,
+            in_bytes,
+            out_bytes: self.out_bytes,
+            glue_instrs: self.glue_instrs,
+            branches_after: self.branches_after,
+            transform_after: self.bits & Self::TRANSFORM != 0,
+            fork_after: self.bits & Self::FORK != 0,
+        }
+    }
+}
+
+/// One accelerator visit, as [`SegmentView::hop`] reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HopExec {
     /// The accelerator.
     pub kind: AccelKind,
@@ -122,7 +177,7 @@ pub struct Program {
     steps: Box<[Step]>,
     calls: Box<[CallRec]>,
     segments: Box<[SegmentRec]>,
-    hops: Box<[HopExec]>,
+    hops: Box<[HopRec]>,
     /// Soft-SLO slack factor carried from the spec.
     pub slo_slack: Option<f64>,
     /// Priority tag carried from the spec.
@@ -151,8 +206,10 @@ impl Program {
     }
 
     /// Every accelerator visit, in path order.
-    pub fn hops(&self) -> &[HopExec] {
-        &self.hops
+    pub fn hops(&self) -> impl Iterator<Item = HopExec> + '_ {
+        self.segments
+            .iter()
+            .flat_map(|rec| view_segment(rec, &self.hops).hops())
     }
 
     /// Total app-logic cycles.
@@ -184,8 +241,8 @@ impl Program {
     }
 
     /// The hop `addr` is executing.
-    pub(crate) fn hop(&self, addr: CallAddr) -> &HopExec {
-        &self.segment(addr).hops[addr.hop as usize]
+    pub(crate) fn hop(&self, addr: CallAddr) -> HopExec {
+        self.segment(addr).hop(addr.hop as usize)
     }
 
     fn view_call<'a>(&'a self, rec: &CallRec) -> CallView<'a> {
@@ -204,7 +261,7 @@ pub struct CallView<'a> {
     vaddr: u64,
     segments: &'a [SegmentRec],
     /// The whole program's hops; segments index into them.
-    hops: &'a [HopExec],
+    hops: &'a [HopRec],
 }
 
 impl<'a> CallView<'a> {
@@ -220,14 +277,7 @@ impl<'a> CallView<'a> {
 
     /// The `i`-th segment.
     pub fn segment(self, i: usize) -> SegmentView<'a> {
-        let rec = &self.segments[i];
-        SegmentView {
-            trace: &rec.trace,
-            flags: rec.flags,
-            entry_is_network: rec.entry_is_network,
-            hops: &self.hops[rec.hops.range()],
-            end: rec.end,
-        }
+        view_segment(&self.segments[i], self.hops)
     }
 
     /// The segments, chained in order.
@@ -247,21 +297,59 @@ pub struct SegmentView<'a> {
     /// Whether the segment is triggered by a network message arriving
     /// at TCP (vs. initiated by a core's `Enqueue`).
     pub entry_is_network: bool,
-    /// The accelerator visits, in order.
-    pub hops: &'a [HopExec],
     /// What happens after the last hop.
     pub end: SegmentEnd,
+    entry_bytes: u64,
+    hops: &'a [HopRec],
+}
+
+fn view_segment<'a>(rec: &'a SegmentRec, hops: &'a [HopRec]) -> SegmentView<'a> {
+    SegmentView {
+        trace: &rec.trace,
+        flags: rec.flags,
+        entry_is_network: rec.entry_is_network,
+        end: rec.end,
+        entry_bytes: rec.entry_bytes,
+        hops: &hops[rec.hops.range()],
+    }
+}
+
+impl<'a> SegmentView<'a> {
+    /// Number of accelerator visits.
+    pub fn hop_count(self) -> usize {
+        self.hops.len()
+    }
+
+    /// The `i`-th accelerator visit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.hop_count()`.
+    pub fn hop(self, i: usize) -> HopExec {
+        let in_bytes = match i {
+            0 => self.entry_bytes,
+            _ => self.hops[i - 1].out_bytes,
+        };
+        self.hops[i].view(in_bytes)
+    }
+
+    /// The accelerator visits, in order.
+    pub fn hops(self) -> impl ExactSizeIterator<Item = HopExec> + 'a {
+        (0..self.hops.len()).map(move |i| self.hop(i))
+    }
 }
 
 /// Growable staging for one program. Sampling and snapshot loading
 /// fill it, then [`ProgramBuilder::finish`] moves each list into an
-/// exact-size boxed slice.
+/// exact-size boxed slice. `actions` is the trace walks' glue-action
+/// buffer, reused across hops.
 #[derive(Debug, Default)]
 struct ProgramBuilder {
     steps: Vec<Step>,
     calls: Vec<CallRec>,
     segments: Vec<SegmentRec>,
-    hops: Vec<HopExec>,
+    hops: Vec<HopRec>,
+    actions: Vec<GlueAction>,
 }
 
 thread_local! {
@@ -295,24 +383,6 @@ impl ProgramBuilder {
         self.calls.push(CallRec {
             vaddr,
             segments: Span::new(first_segment..self.segments.len()),
-        });
-    }
-
-    /// Closes a segment over the hops pushed since `first_hop`.
-    fn end_segment(
-        &mut self,
-        first_hop: usize,
-        trace: &Arc<Trace>,
-        flags: PayloadFlags,
-        entry_is_network: bool,
-        end: SegmentEnd,
-    ) {
-        self.segments.push(SegmentRec {
-            trace: Arc::clone(trace),
-            flags,
-            entry_is_network,
-            end,
-            hops: Span::new(first_hop..self.hops.len()),
         });
     }
 
@@ -389,41 +459,38 @@ impl ProgramBuilder {
     ) -> (SegmentEnd, Option<AtmAddr>) {
         let first_hop = self.hops.len();
         let mut bytes = entry_bytes;
-        let mut adv = trace.first(&flags);
+        let mut next = trace.first_into(&flags, &mut self.actions);
         let mut chained = None;
         let end = loop {
-            match adv.next {
+            match next {
                 Next::Invoke { kind, pm } => {
-                    let in_bytes = bytes;
-                    let mut out_bytes = timing.output_bytes(kind, in_bytes);
-                    let after = trace.advance(pm, &flags);
-                    let mut branches = 0u8;
-                    let mut transform = false;
-                    let mut fork = false;
-                    for action in &after.actions {
+                    let mut out_bytes = timing.output_bytes(kind, bytes);
+                    next = trace.advance_into(pm, &flags, &mut self.actions);
+                    let mut branches_after = 0u8;
+                    let mut transform_after = false;
+                    let mut fork_after = false;
+                    for action in &self.actions {
                         match action {
-                            GlueAction::Branch { .. } => branches += 1,
+                            GlueAction::Branch { .. } => branches_after += 1,
                             GlueAction::Transform(t) => {
-                                transform = true;
+                                transform_after = true;
                                 out_bytes =
                                     ((out_bytes as f64) * t.size_ratio()).round().max(1.0) as u64;
                             }
-                            GlueAction::ForkToCpu => fork = true,
+                            GlueAction::ForkToCpu => fork_after = true,
                         }
                     }
-                    let glue_instrs = output_dispatch_instructions(&after, out_bytes);
-                    self.hops.push(HopExec {
+                    self.hops.push(HopRec::store(HopExec {
                         kind,
                         pm,
-                        in_bytes,
+                        in_bytes: bytes,
                         out_bytes,
-                        glue_instrs,
-                        branches_after: branches,
-                        transform_after: transform,
-                        fork_after: fork,
-                    });
+                        glue_instrs: glue_instructions(&self.actions, next, out_bytes),
+                        branches_after,
+                        transform_after,
+                        fork_after,
+                    }));
                     bytes = out_bytes;
-                    adv = after;
                 }
                 Next::ToCpu => break SegmentEnd::ToCpu,
                 Next::Chain(addr) => {
@@ -443,23 +510,58 @@ impl ProgramBuilder {
                 }
             }
         };
-        self.end_segment(first_hop, trace, flags, entry_is_network, end);
+        self.segments.push(SegmentRec {
+            trace: Arc::clone(trace),
+            flags,
+            entry_is_network,
+            end,
+            entry_bytes,
+            hops: Span::new(first_hop..self.hops.len()),
+        });
         (end, chained)
     }
 
     /// Reads one call in the wire form [`Program::save_call`] writes.
+    /// A decoded trace that the standard library holds is swapped for
+    /// the library's shared copy.
+    ///
+    /// # Errors
+    ///
+    /// Besides a malformed or truncated record, a hop whose input size
+    /// is not the previous hop's output size is corrupt: hop sizes
+    /// chain, and only the first is stored.
     fn load_call(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let first_segment = self.segments.len();
         for _ in 0..r.seq_len()? {
-            let trace = Arc::<Trace>::load(r)?;
+            let mut trace = Arc::<Trace>::load(r)?;
+            if let Some(shared) = TraceLibrary::standard_shared(&trace) {
+                trace = Arc::clone(shared);
+            }
             let flags = PayloadFlags::load(r)?;
             let entry_is_network = r.bool()?;
             let first_hop = self.hops.len();
-            for _ in 0..r.seq_len()? {
-                self.hops.push(HopExec::load(r)?);
+            let mut entry_bytes = 0;
+            for i in 0..r.seq_len()? {
+                let hop = HopExec::load(r)?;
+                if i == 0 {
+                    entry_bytes = hop.in_bytes;
+                } else if hop.in_bytes != self.hops[self.hops.len() - 1].out_bytes {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "hop {i} takes {} bytes, not the previous hop's output",
+                        hop.in_bytes
+                    )));
+                }
+                self.hops.push(HopRec::store(hop));
             }
             let end = SegmentEnd::load(r)?;
-            self.end_segment(first_hop, &trace, flags, entry_is_network, end);
+            self.segments.push(SegmentRec {
+                trace,
+                flags,
+                entry_is_network,
+                end,
+                entry_bytes,
+                hops: Span::new(first_hop..self.hops.len()),
+            });
         }
         let vaddr = r.u64()?;
         self.end_call(first_segment, vaddr);
@@ -522,7 +624,8 @@ pub fn sample_call(
 //
 // The snapshot format predates the flat layout and nests calls inside
 // steps and hops inside segments, each list length-prefixed. It is
-// written here from the flat records, field for field.
+// written here from the flat records, field for field, with each hop's
+// derived input size; `load_call` checks those sizes chain.
 
 accelflow_sim::impl_snapshot! {
     enum SegmentEnd { 0 => ToCpu, 1 => Continue, 2 => AwaitResponse { external } }
@@ -544,8 +647,8 @@ impl Program {
             seg.trace.save(w);
             seg.flags.save(w);
             w.bool(seg.entry_is_network);
-            w.usize(seg.hops.len());
-            for hop in seg.hops {
+            w.usize(seg.hop_count());
+            for hop in seg.hops() {
                 hop.save(w);
             }
             seg.end.save(w);
@@ -608,234 +711,4 @@ impl Snapshot for Program {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::request::{CyclesDist, FlagProbs};
-    use accelflow_sim::time::Frequency;
-    use accelflow_trace::templates::TemplateId;
-
-    fn fixtures() -> (TraceLibrary, ServiceTimeModel, SimRng) {
-        (
-            TraceLibrary::standard(),
-            ServiceTimeModel::calibrated(Frequency::from_ghz(2.4)),
-            SimRng::seed(42),
-        )
-    }
-
-    /// The only call of a [`sample_call`] program.
-    fn only_call(program: &Program) -> CallView<'_> {
-        assert_eq!(program.step_count(), 1);
-        program.call(0, 0)
-    }
-
-    #[test]
-    fn t1_call_has_single_segment() {
-        let (lib, timing, mut rng) = fixtures();
-        let spec = CallSpec::new(TemplateId::T1);
-        let program = sample_call(&lib, &timing, &mut rng, &spec, 0x10000);
-        let call = only_call(&program);
-        assert_eq!(call.segment_count(), 1);
-        let seg = call.segment(0);
-        assert!(seg.entry_is_network);
-        assert_eq!(seg.end, SegmentEnd::ToCpu);
-        // Tcp, Decr, Rpc, Dser, [Dcmp], Ldb.
-        assert!(seg.hops.len() == 5 || seg.hops.len() == 6);
-        assert_eq!(seg.hops[0].kind, AccelKind::Tcp);
-        assert_eq!(seg.hops.last().unwrap().kind, AccelKind::Ldb);
-    }
-
-    #[test]
-    fn t4_call_chains_through_responses() {
-        let (lib, timing, mut rng) = fixtures();
-        let spec = CallSpec::new(TemplateId::T4).with_flags(FlagProbs {
-            hit: 1.0, // always hits the DB cache
-            ..FlagProbs::default()
-        });
-        let program = sample_call(&lib, &timing, &mut rng, &spec, 0x10000);
-        let call = only_call(&program);
-        // T4 (send) + T5 (response): two segments.
-        assert_eq!(call.segment_count(), 2);
-        assert!(
-            matches!(call.segment(0).end, SegmentEnd::AwaitResponse { external } if external > SimDuration::ZERO)
-        );
-        assert!(!call.segment(0).entry_is_network);
-        assert!(call.segment(1).entry_is_network);
-        assert_eq!(call.segment(1).end, SegmentEnd::ToCpu);
-    }
-
-    #[test]
-    fn t4_miss_path_reaches_t6_and_t7() {
-        let (lib, timing, mut rng) = fixtures();
-        let spec = CallSpec::new(TemplateId::T4).with_flags(FlagProbs {
-            hit: 0.0,
-            found: 1.0,
-            exception: 0.0,
-            ..FlagProbs::default()
-        });
-        let program = sample_call(&lib, &timing, &mut rng, &spec, 0x10000);
-        let call = only_call(&program);
-        // T4 → T5(miss→send to DB) → T6(found→write cache) → T7.
-        assert_eq!(call.segment_count(), 4);
-        let waits: Vec<bool> = call
-            .segments()
-            .map(|s| matches!(s.end, SegmentEnd::AwaitResponse { .. }))
-            .collect();
-        assert_eq!(waits, vec![true, true, true, false]);
-        // T6's fork hands the data to the CPU mid-trace.
-        assert!(call.segment(2).hops.iter().any(|h| h.fork_after));
-    }
-
-    #[test]
-    fn error_chain_continues_immediately() {
-        let (lib, timing, mut rng) = fixtures();
-        let spec = CallSpec::new(TemplateId::T8).with_flags(FlagProbs {
-            exception: 1.0,
-            ..FlagProbs::default()
-        });
-        let program = sample_call(&lib, &timing, &mut rng, &spec, 0);
-        let call = only_call(&program);
-        // T8 (send) → T7 (response, exception) → error trace (immediate).
-        assert_eq!(call.segment_count(), 3);
-        assert_eq!(call.segment(1).end, SegmentEnd::Continue);
-        assert_eq!(call.segment(2).end, SegmentEnd::ToCpu);
-        assert_eq!(call.segment(2).hops.len(), 4);
-    }
-
-    #[test]
-    fn payload_sizes_flow_through_hops() {
-        let (lib, timing, mut rng) = fixtures();
-        let spec = CallSpec::new(TemplateId::T9).with_cmp_prob(1.0);
-        let program = sample_call(&lib, &timing, &mut rng, &spec, 0);
-        let seg = only_call(&program).segment(0);
-        assert_eq!(seg.hops[0].kind, AccelKind::Cmp);
-        // Compression shrinks the payload ~3x before Ser.
-        assert!(seg.hops[1].in_bytes < seg.hops[0].in_bytes / 2);
-        for w in seg.hops.windows(2) {
-            assert_eq!(w[0].out_bytes, w[1].in_bytes, "sizes must chain");
-        }
-    }
-
-    #[test]
-    fn glue_instructions_are_positive_and_bounded() {
-        let (lib, timing, mut rng) = fixtures();
-        for template in TemplateId::ALL {
-            let spec = CallSpec::new(template);
-            let program = sample_call(&lib, &timing, &mut rng, &spec, 0);
-            for hop in program.hops() {
-                assert!(hop.glue_instrs >= 15, "{template}: {}", hop.glue_instrs);
-                assert!(hop.glue_instrs <= 15 + 9 * 2 + 12 * 64 + 20, "{template}");
-            }
-        }
-    }
-
-    #[test]
-    fn program_counts_parallel_calls() {
-        let (lib, timing, mut rng) = fixtures();
-        let svc = ServiceSpec::new(
-            "toy",
-            vec![
-                StageSpec::Call(CallSpec::new(TemplateId::T1)),
-                StageSpec::Cpu(CyclesDist::new(50_000.0, 0.2)),
-                StageSpec::Parallel(vec![CallSpec::new(TemplateId::T9); 4]),
-                StageSpec::Call(CallSpec::new(TemplateId::T2)),
-            ],
-        );
-        let program = svc.sample(&lib, &timing, &mut rng, 0);
-        assert_eq!(program.step_count(), 4);
-        assert_eq!(program.calls().len(), 6);
-        // T1 (≥5) + 4×(T9+T10: ≥9 each) + T2 (4) ≥ 45.
-        assert!(program.accelerator_invocations() >= 40);
-        assert_eq!(
-            program.accelerator_invocations(),
-            program
-                .calls()
-                .flat_map(|c| c.segments())
-                .map(|s| s.hops.len())
-                .sum::<usize>()
-        );
-        assert!(program.app_cycles() > 0.0);
-        // Arms keep their own buffers: step 2 arm j sits at (2 << 20) + (j << 16).
-        for j in 0..4u8 {
-            assert_eq!(program.call(2, j).vaddr(), (2 << 20) + ((j as u64) << 16));
-        }
-    }
-
-    #[test]
-    fn call_addresses_resolve_to_their_hop() {
-        let (lib, timing, mut rng) = fixtures();
-        let svc = ServiceSpec::new(
-            "toy",
-            vec![
-                StageSpec::Cpu(CyclesDist::new(10_000.0, 0.2)),
-                StageSpec::Parallel(vec![CallSpec::new(TemplateId::T4); 3]),
-                StageSpec::Call(CallSpec::new(TemplateId::T9)),
-            ],
-        );
-        let program = svc.sample(&lib, &timing, &mut rng, 0);
-        // Walking every address in path order visits the flat hop slice
-        // in order, each hop exactly once.
-        let mut flat = program.hops().iter();
-        for step in 1..program.step_count() as u8 {
-            let Step::Calls { calls, .. } = program.step(step as usize) else {
-                unreachable!()
-            };
-            for par in 0..calls.len() as u8 {
-                let call = program.call(step, par);
-                for seg in 0..call.segment_count() as u8 {
-                    for hop in 0..call.segment(seg as usize).hops.len() as u8 {
-                        let addr = CallAddr {
-                            req: 0,
-                            step,
-                            par,
-                            seg,
-                            hop,
-                        };
-                        assert!(std::ptr::eq(program.hop(addr), flat.next().unwrap()));
-                    }
-                }
-            }
-        }
-        assert!(flat.next().is_none());
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let (lib, timing, _) = fixtures();
-        let spec = CallSpec::new(TemplateId::T4);
-        let a = sample_call(&lib, &timing, &mut SimRng::seed(9), &spec, 0);
-        let b = sample_call(&lib, &timing, &mut SimRng::seed(9), &spec, 0);
-        let (a, b) = (only_call(&a), only_call(&b));
-        assert_eq!(a.segment_count(), b.segment_count());
-        for (sa, sb) in a.segments().zip(b.segments()) {
-            assert_eq!(sa.hops.len(), sb.hops.len());
-            for (ha, hb) in sa.hops.iter().zip(sb.hops) {
-                assert_eq!(ha.in_bytes, hb.in_bytes);
-            }
-        }
-    }
-
-    #[test]
-    fn wire_form_round_trips() {
-        let (lib, timing, mut rng) = fixtures();
-        let svc = ServiceSpec::new(
-            "toy",
-            vec![
-                StageSpec::Call(CallSpec::new(TemplateId::T1)),
-                StageSpec::Parallel(vec![CallSpec::new(TemplateId::T4)]),
-                StageSpec::Cpu(CyclesDist::new(10_000.0, 0.2)),
-                StageSpec::Parallel(vec![CallSpec::new(TemplateId::T8); 2]),
-            ],
-        );
-        let program = svc.sample(&lib, &timing, &mut rng, 0x4000);
-        let mut w = SnapWriter::new();
-        program.save(&mut w);
-        let bytes = w.into_bytes();
-        let back = Program::load(&mut SnapReader::new(&bytes)).unwrap();
-        let mut again = SnapWriter::new();
-        back.save(&mut again);
-        assert_eq!(again.into_bytes(), bytes);
-        assert_eq!(back.steps, program.steps);
-        // A one-arm Parallel stage keeps its own tag.
-        assert!(matches!(back.step(1), Step::Calls { parallel: true, .. }));
-    }
-}
+mod tests;

@@ -113,6 +113,11 @@ impl Atm {
         self.entries.get_mut(addr.0 as usize).and_then(Option::take)
     }
 
+    /// The resident traces, in address order.
+    pub fn resident(&self) -> impl Iterator<Item = &Arc<Trace>> {
+        self.entries.iter().flatten()
+    }
+
     /// Number of occupied entries.
     pub fn occupied(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()

@@ -221,7 +221,17 @@ impl Trace {
     /// glue slots with `flags`), as the CPU's `Enqueue` instruction
     /// does.
     pub fn first(&self, flags: &PayloadFlags) -> Advance {
-        self.walk(0, flags)
+        let mut actions = Vec::new();
+        let next = self.first_into(flags, &mut actions);
+        Advance { actions, next }
+    }
+
+    /// [`Trace::first`] into a caller-owned buffer: clears `actions`,
+    /// records the glue actions in it and returns where control goes,
+    /// so a caller that reuses one buffer walks without allocating.
+    pub fn first_into(&self, flags: &PayloadFlags, actions: &mut Vec<GlueAction>) -> Next {
+        actions.clear();
+        self.walk(0, flags, actions)
     }
 
     /// Advances the Position Mark past a completed invocation at `pm`,
@@ -232,32 +242,41 @@ impl Trace {
     ///
     /// Panics if `pm` does not point at an `Accel` slot.
     pub fn advance(&self, pm: PositionMark, flags: &PayloadFlags) -> Advance {
+        let mut actions = Vec::new();
+        let next = self.advance_into(pm, flags, &mut actions);
+        Advance { actions, next }
+    }
+
+    /// [`Trace::advance`] into a caller-owned buffer, as
+    /// [`Trace::first_into`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pm` does not point at an `Accel` slot.
+    pub fn advance_into(
+        &self,
+        pm: PositionMark,
+        flags: &PayloadFlags,
+        actions: &mut Vec<GlueAction>,
+    ) -> Next {
         assert!(
             matches!(self.slots.get(pm.0 as usize), Some(Slot::Accel(_))),
             "advance must start from an accelerator slot"
         );
-        self.walk(pm.0 as usize + 1, flags)
+        actions.clear();
+        self.walk(pm.0 as usize + 1, flags, actions)
     }
 
-    fn walk(&self, mut idx: usize, flags: &PayloadFlags) -> Advance {
-        let mut actions = Vec::new();
+    fn walk(&self, mut idx: usize, flags: &PayloadFlags, actions: &mut Vec<GlueAction>) -> Next {
         loop {
             match self.slots.get(idx) {
-                None => {
-                    // Falling off the end notifies the CPU.
-                    return Advance {
-                        actions,
-                        next: Next::ToCpu,
-                    };
-                }
+                // Falling off the end notifies the CPU.
+                None | Some(Slot::ToCpu) => return Next::ToCpu,
                 Some(Slot::Accel(kind)) => {
-                    return Advance {
-                        actions,
-                        next: Next::Invoke {
-                            kind: *kind,
-                            pm: PositionMark(idx as u8),
-                        },
-                    };
+                    return Next::Invoke {
+                        kind: *kind,
+                        pm: PositionMark(idx as u8),
+                    }
                 }
                 Some(Slot::Branch {
                     cond,
@@ -277,18 +296,7 @@ impl Trace {
                     actions.push(GlueAction::ForkToCpu);
                     idx += 1;
                 }
-                Some(Slot::ToCpu) => {
-                    return Advance {
-                        actions,
-                        next: Next::ToCpu,
-                    };
-                }
-                Some(Slot::NextTrace(addr)) => {
-                    return Advance {
-                        actions,
-                        next: Next::Chain(*addr),
-                    };
-                }
+                Some(Slot::NextTrace(addr)) => return Next::Chain(*addr),
             }
         }
     }
@@ -300,15 +308,7 @@ impl Trace {
     pub fn all_paths(&self) -> Vec<Vec<PathStep>> {
         let mut paths: Vec<Vec<PathStep>> = Vec::new();
         for bits in 0u8..32 {
-            let flags = PayloadFlags {
-                compressed: bits & 1 != 0,
-                hit: bits & 2 != 0,
-                found: bits & 4 != 0,
-                exception: bits & 8 != 0,
-                cache_compressed: bits & 16 != 0,
-                custom_field: 0,
-            };
-            let path = self.resolve_path(&flags);
+            let path = self.resolve_path(&named_flags(bits));
             if !paths.contains(&path) {
                 paths.push(path);
             }
@@ -319,17 +319,18 @@ impl Trace {
     /// The execution path under one specific flag assignment.
     pub fn resolve_path(&self, flags: &PayloadFlags) -> Vec<PathStep> {
         let mut path = Vec::new();
-        let mut adv = self.first(flags);
+        let mut actions = Vec::new();
+        let mut next = self.first_into(flags, &mut actions);
         loop {
-            for a in &adv.actions {
+            for a in &actions {
                 if matches!(a, GlueAction::ForkToCpu) {
                     path.push(PathStep::Cpu);
                 }
             }
-            match adv.next {
+            match next {
                 Next::Invoke { kind, pm } => {
                     path.push(PathStep::Accel(kind));
-                    adv = self.advance(pm, flags);
+                    next = self.advance_into(pm, flags, &mut actions);
                 }
                 Next::ToCpu => {
                     path.push(PathStep::Cpu);
@@ -341,6 +342,18 @@ impl Trace {
                 }
             }
         }
+    }
+}
+
+/// The five named payload flags set from the low five bits of `bits`.
+fn named_flags(bits: u8) -> PayloadFlags {
+    PayloadFlags {
+        compressed: bits & 1 != 0,
+        hit: bits & 2 != 0,
+        found: bits & 4 != 0,
+        exception: bits & 8 != 0,
+        cache_compressed: bits & 16 != 0,
+        custom_field: 0,
     }
 }
 
@@ -506,6 +519,39 @@ mod tests {
                 on_false: 1,
             }],
         );
+    }
+
+    #[test]
+    fn into_walks_match_the_allocating_walks() {
+        let lib = crate::templates::TraceLibrary::standard();
+        // Dirty from a walk that recorded a branch and a transform.
+        let mut actions = Vec::new();
+        let flags = PayloadFlags {
+            compressed: true,
+            ..Default::default()
+        };
+        t1_like().advance_into(PositionMark(3), &flags, &mut actions);
+        assert_eq!(actions.len(), 2);
+        let mut walks = 0;
+        for trace in lib.traces() {
+            for bits in 0u8..32 {
+                let flags = named_flags(bits);
+                let first = trace.first(&flags);
+                assert_eq!(trace.first_into(&flags, &mut actions), first.next);
+                assert_eq!(actions, first.actions, "{}", trace.name());
+                for (pm, slot) in trace.slots().iter().enumerate() {
+                    if !matches!(slot, Slot::Accel(_)) {
+                        continue;
+                    }
+                    let pm = PositionMark(pm as u8);
+                    let adv = trace.advance(pm, &flags);
+                    assert_eq!(trace.advance_into(pm, &flags, &mut actions), adv.next);
+                    assert_eq!(actions, adv.actions, "{} at {pm:?}", trace.name());
+                    walks += 1;
+                }
+            }
+        }
+        assert!(walks > 1000, "{walks} walks");
     }
 
     #[test]

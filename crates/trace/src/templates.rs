@@ -189,10 +189,20 @@ impl TraceLibrary {
     /// `Arc`s; only the ATM's access counters are per copy, so counting
     /// stays simulation-local.
     pub fn standard() -> Self {
+        Self::memoized().clone()
+    }
+
+    fn memoized() -> &'static TraceLibrary {
         static STANDARD: std::sync::OnceLock<TraceLibrary> = std::sync::OnceLock::new();
-        STANDARD
-            .get_or_init(|| Self::with_atm(Atm::new(64)))
-            .clone()
+        STANDARD.get_or_init(|| Self::with_atm(Atm::new(64)))
+    }
+
+    /// The standard library's shared handle to a trace equal to
+    /// `trace` (same name, same slots), if it has one. Checkpoint
+    /// restore swaps decoded traces for these, so restored programs
+    /// share traces the way freshly sampled ones do.
+    pub fn standard_shared(trace: &Trace) -> Option<&'static Arc<Trace>> {
+        Self::memoized().traces().find(|t| ***t == *trace)
     }
 
     /// Builds the library into the provided ATM.
@@ -427,6 +437,16 @@ impl TraceLibrary {
     /// The ATM address of the split-out error-reporting trace.
     pub fn error_addr(&self) -> AtmAddr {
         self.error_addr
+    }
+
+    /// Every trace of the library: the entries, the compression
+    /// variants and the ATM-resident continuations (a trace that is
+    /// several of these is listed once per role).
+    pub fn traces(&self) -> impl Iterator<Item = &Arc<Trace>> {
+        self.entries
+            .values()
+            .chain(self.cmp_variants.values())
+            .chain(self.atm.resident())
     }
 
     /// The ATM holding the resident traces.

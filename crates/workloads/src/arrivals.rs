@@ -192,7 +192,7 @@ pub fn bursty_arrivals(
             &mut counter,
         ));
     }
-    all.sort_by_key(|a| a.at);
+    accelflow_core::arrivals::sort_by_time(&mut all);
     all
 }
 

@@ -473,7 +473,7 @@ pub fn openloop_arrivals(
         seed,
         |a| arrivals.push(a),
     );
-    arrivals.sort_by_key(|a| a.at);
+    accelflow_core::arrivals::sort_by_time(&mut arrivals);
     arrivals
 }
 

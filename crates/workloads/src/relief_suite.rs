@@ -82,10 +82,10 @@ mod tests {
             let seg = calls[0].segment(0);
             assert!(!seg.entry_is_network, "coarse chains are core-initiated");
             assert!(
-                seg.hops.iter().all(|h| h.branches_after == 0),
+                seg.hops().all(|h| h.branches_after == 0),
                 "fixed chains have no branches"
             );
-            assert!((3..=6).contains(&seg.hops.len()), "{}", app.name);
+            assert!((3..=6).contains(&seg.hop_count()), "{}", app.name);
         }
     }
 
@@ -98,7 +98,7 @@ mod tests {
         let mut rng = SimRng::seed(2);
         let p = all()[0].sample(&lib, &timing, &mut rng, 0);
         let call = p.calls().next().unwrap();
-        for hop in call.segment(0).hops {
+        for hop in call.segment(0).hops() {
             let t = timing.accel_time(hop.kind, hop.in_bytes);
             assert!(t.as_micros_f64() > 20.0, "stage {} only {t}", hop.kind);
         }

@@ -298,7 +298,7 @@ mod tests {
                 for call in program.calls() {
                     for seg in call.segments() {
                         total += 1;
-                        if seg.hops.iter().any(|h| h.branches_after > 0) {
+                        if seg.hops().any(|h| h.branches_after > 0) {
                             with_branch += 1;
                         }
                     }

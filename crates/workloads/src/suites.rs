@@ -170,7 +170,7 @@ mod tests {
                 for (i, svc) in services.iter().enumerate() {
                     let p = svc.sample(&lib, &timing, &mut rng, (round * 64 + i as u64) << 40);
                     for call in p.calls() {
-                        total += call.segment(0).hops[0].in_bytes;
+                        total += call.segment(0).hop(0).in_bytes;
                         calls += 1;
                     }
                 }
@@ -197,7 +197,7 @@ mod tests {
                     for call in p.calls() {
                         for seg in call.segments() {
                             total += 1;
-                            if seg.hops.iter().any(|h| h.branches_after > 0) {
+                            if seg.hops().any(|h| h.branches_after > 0) {
                                 with += 1;
                             }
                         }

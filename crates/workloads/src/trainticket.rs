@@ -142,7 +142,7 @@ mod tests {
                 for c in p.calls() {
                     for seg in c.segments() {
                         total += 1;
-                        if seg.hops.iter().any(|h| h.branches_after > 0) {
+                        if seg.hops().any(|h| h.branches_after > 0) {
                             with += 1;
                         }
                     }

@@ -4,8 +4,10 @@
 //! with small index records for segments, calls and steps, and refers
 //! to the trace library's shared traces instead of copying them. So,
 //! whatever its shape, a program owns at most [`BLOCKS`] heap blocks,
-//! and cloning an arrival allocates at most that many. This binary
-//! counts heap blocks with its own global allocator to hold both
+//! and cloning an arrival allocates at most that many. Sampling walks
+//! the traces into a reused buffer, so it allocates nothing it does
+//! not keep, and each record has a fixed byte size. This binary counts
+//! heap blocks and bytes with its own global allocator to hold these
 //! bounds, and checks that sampled segments share the library's
 //! `Arc<Trace>`s.
 
@@ -25,47 +27,60 @@ use accelflow::workloads::socialnetwork;
 /// Heap blocks one program may own.
 const BLOCKS: i64 = 4;
 
+/// Heap bytes a program may own per hop, per segment, and per call or
+/// step.
+const HOP_BYTES: i64 = 16;
+const SEGMENT_BYTES: i64 = 48;
+const CALL_OR_STEP_BYTES: i64 = 16;
+
 thread_local! {
     /// Allocations (reallocations included) made by this thread.
     static ALLOCS: Cell<i64> = const { Cell::new(0) };
     /// Heap blocks this thread allocated minus those it freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Heap bytes this thread allocated minus those it freed.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting per thread so the test harness's
 /// other threads do not disturb a measurement.
 struct Counting;
 
-fn bump(allocs: i64, live: i64) {
+fn bump(allocs: i64, live: i64, bytes: i64) {
     // Counters are const-initialized without destructors, so access
     // never allocates; `try_with` only fails during thread teardown.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
     let _ = LIVE.try_with(|c| c.set(c.get() + live));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+}
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).expect("allocation size fits i64")
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged; the counters publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(1, 1);
+        bump(1, 1, size(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(1, 1);
+        bump(1, 1, size(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(0, -1);
+        bump(0, -1, -size(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(1, 0);
+        bump(1, 0, size(new_size) - size(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,12 +90,19 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Runs `f`, returning its result with the allocations it made and the
-/// heap blocks it left live.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, i64, i64) {
-    let (a0, l0) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
+/// heap blocks and bytes it left live.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, i64, i64, i64) {
+    let read = || {
+        (
+            ALLOCS.with(Cell::get),
+            LIVE.with(Cell::get),
+            LIVE_BYTES.with(Cell::get),
+        )
+    };
+    let (a0, l0, b0) = read();
     let out = f();
-    let (a1, l1) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
-    (out, a1 - a0, l1 - l0)
+    let (a1, l1, b1) = read();
+    (out, a1 - a0, l1 - l0, b1 - b0)
 }
 
 fn fixtures() -> (TraceLibrary, ServiceTimeModel) {
@@ -127,14 +149,48 @@ fn a_sampled_program_owns_at_most_four_blocks() {
     let _ = socialnetwork::compose_post().sample(&lib, &timing, &mut rng, 0);
     for svc in budget_cases() {
         for i in 0..20u64 {
-            let (program, _, live) = counted(|| svc.sample(&lib, &timing, &mut rng, i << 24));
+            let (program, _, live, _) = counted(|| svc.sample(&lib, &timing, &mut rng, i << 24));
             assert!(
                 live <= BLOCKS,
                 "{}: a sampled program holds {live} heap blocks",
                 svc.name
             );
-            let ((), _, freed) = counted(|| drop(program));
+            let ((), _, freed, _) = counted(|| drop(program));
             assert_eq!(freed, -live, "{}: dropping frees every block", svc.name);
+        }
+    }
+}
+
+#[test]
+fn sampling_allocates_only_what_it_keeps() {
+    let (lib, timing) = fixtures();
+    let mut rng = SimRng::seed(13);
+    let cases = budget_cases();
+    // Warm up: size the sampler's reusable staging lists.
+    for svc in &cases {
+        for i in 0..20u64 {
+            let _ = svc.sample(&lib, &timing, &mut rng, i << 24);
+        }
+    }
+    for svc in &cases {
+        for i in 0..20u64 {
+            let (program, allocs, live, bytes) =
+                counted(|| svc.sample(&lib, &timing, &mut rng, i << 24));
+            assert_eq!(
+                allocs, live,
+                "{}: sampling made {allocs} allocations but keeps {live} blocks",
+                svc.name
+            );
+            let count = |n: usize| i64::try_from(n).expect("count fits i64");
+            let segments: usize = program.calls().map(|c| c.segment_count()).sum();
+            let budget = HOP_BYTES * count(program.accelerator_invocations())
+                + SEGMENT_BYTES * count(segments)
+                + CALL_OR_STEP_BYTES * count(program.calls().len() + program.step_count());
+            assert!(
+                bytes <= budget,
+                "{}: a sampled program holds {bytes} heap bytes, budget {budget}",
+                svc.name
+            );
         }
     }
 }
@@ -162,7 +218,7 @@ fn cloning_an_arrival_allocates_at_most_four_blocks() {
             tenant: TenantId(0),
             program: svc.sample(&lib, &timing, &mut rng, 0),
         };
-        let (copy, allocs, _) = counted(|| arrival.clone());
+        let (copy, allocs, _, _) = counted(|| arrival.clone());
         assert!(
             allocs <= BLOCKS,
             "{}: clone made {allocs} allocations",

@@ -106,7 +106,7 @@ fn branchy_sequence_fraction() {
             for call in p.calls() {
                 for seg in call.segments() {
                     total += 1;
-                    if seg.hops.iter().any(|h| h.branches_after > 0) {
+                    if seg.hops().any(|h| h.branches_after > 0) {
                         with += 1;
                     }
                 }

@@ -293,11 +293,12 @@ mod workload_properties {
 
             assert!(call.segment_count() > 0, "case {case}");
             for (si, seg) in call.segments().enumerate() {
-                assert!(!seg.hops.is_empty(), "case {case} {template} segment {si}");
-                for w in seg.hops.windows(2) {
+                let hops: Vec<_> = seg.hops().collect();
+                assert!(!hops.is_empty(), "case {case} {template} segment {si}");
+                for w in hops.windows(2) {
                     assert_eq!(w[0].out_bytes, w[1].in_bytes, "case {case}: sizes chain");
                 }
-                for hop in seg.hops {
+                for hop in hops {
                     assert!(hop.glue_instrs >= 15, "case {case}: dispatcher floor");
                     assert!(hop.in_bytes >= 1, "case {case}");
                 }
