@@ -22,6 +22,8 @@
 //! - [`snapshot`] — versioned checkpoint serialization: the
 //!   [`Snapshot`](snapshot::Snapshot) trait and wire format behind
 //!   `Machine::{snapshot,restore}` (see `docs/CHECKPOINT.md`).
+//! - [`json`] — a small JSON reader/writer, shared by workload
+//!   configuration files and Chrome-trace validation.
 //! - [`telemetry`] — structured observability: component-keyed event
 //!   records, windowed time-series sampling, and a Chrome `trace_event`
 //!   exporter (see `docs/METRICS.md` for the metric glossary).
@@ -61,6 +63,7 @@
 
 mod calendar;
 pub mod engine;
+pub mod json;
 pub mod resource;
 pub mod rng;
 pub mod slab;

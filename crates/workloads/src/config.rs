@@ -24,10 +24,9 @@ use accelflow_accel::queue::TenantId;
 use accelflow_core::request::{
     CallSpec, CyclesDist, ExternalSpec, FlagProbs, ServiceSpec, SizeDist, StageSpec,
 };
+use accelflow_sim::json::{parse, ParseError, Value};
 use accelflow_sim::time::SimDuration;
 use accelflow_trace::templates::TemplateId;
-
-use crate::json::{parse, ParseError, Value};
 
 /// An error loading a workload config.
 #[derive(Clone, Debug, PartialEq)]

@@ -22,14 +22,13 @@
 //!   the least-branchy suite of §III Q2).
 //! - [`musuite`] — µSuite-like mid-tier/leaf services (the most
 //!   tax-dominated suite).
-//! - [`config`] / [`json`] — JSON workload files: describe a service
-//!   mix without writing Rust.
+//! - [`config`] — JSON workload files: describe a service mix without
+//!   writing Rust (parsed by [`accelflow_sim::json`]).
 
 #![warn(missing_docs)]
 
 pub mod arrivals;
 pub mod config;
-pub mod json;
 pub mod musuite;
 pub mod openloop;
 pub mod relief_suite;
