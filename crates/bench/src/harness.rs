@@ -54,7 +54,7 @@ impl Scale {
         }
     }
 
-    /// A small scale for tests and criterion benches.
+    /// A small scale for tests.
     pub fn quick() -> Self {
         Scale {
             duration: SimDuration::from_millis(40),
@@ -178,8 +178,8 @@ pub fn max_throughput_with(
 
 /// [`max_throughput_with`] with the warm-start mode pinned explicitly
 /// (instead of read from `ACCELFLOW_WARM_START`) — for the determinism
-/// suite's warm-vs-cold equality check and the `bench_record` speedup
-/// measurement.
+/// suite's warm-vs-cold equality check and perfbench's `fig14_search`
+/// workload.
 pub fn max_throughput_with_mode(
     cfg: &MachineConfig,
     services: &[ServiceSpec],
@@ -211,7 +211,7 @@ const PREFIX_RPS: f64 = 400.0;
 /// `false`) re-simulates the prefix per probe — same two-phase code
 /// path, byte-identical results (pinned in the bench determinism
 /// suite), just slower. The cold mode is the honest baseline for the
-/// warm-start speedup row in `docs/BENCHMARKS.md`.
+/// warm-start speedup accounting in `docs/BENCHMARKS.md`.
 pub fn warm_start_enabled() -> bool {
     !matches!(
         std::env::var("ACCELFLOW_WARM_START").as_deref(),

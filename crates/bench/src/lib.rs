@@ -2,8 +2,8 @@
 //! paper's evaluation (see DESIGN.md §4 for the full index).
 //!
 //! Each `src/bin/` binary reproduces one table or figure and prints a
-//! paper-vs-measured comparison; `benches/` holds criterion benchmarks
-//! over the simulator's hot paths and scaled-down experiment runs.
+//! paper-vs-measured comparison. The simulator's benchmark is the
+//! separate `perfbench/` package (see `docs/BENCHMARKS.md`).
 //!
 //! - [`harness`] — standard run configurations, the max-throughput
 //!   (SLO-bounded) search, and experiment plumbing.

@@ -141,7 +141,7 @@ impl AutoscalerConfig {
 pub struct SloTarget {
     /// Window length.
     pub window: SimDuration,
-    /// The per-request latency target (the "P99 ≤ target" criterion).
+    /// The per-request latency target (the "P99 ≤ target" condition).
     pub p99_target: SimDuration,
 }
 
