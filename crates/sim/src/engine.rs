@@ -41,7 +41,7 @@
 
 use std::collections::VecDeque;
 
-use crate::calendar::CalendarQueue;
+use crate::keyheap::KeyHeap;
 use crate::time::{SimDuration, SimTime};
 
 /// A system being simulated.
@@ -86,19 +86,20 @@ pub trait Schedule<E> {
 /// tracks the current simulated time; [`EventQueue::schedule`] is
 /// relative to it.
 ///
-/// Internally this is a calendar (bucket) queue — `O(1)` amortized
-/// schedule and pop independent of the pending-event population — plus
-/// a staging buffer that extracts the entire run of events sharing the
-/// next timestamp in one queue operation, so same-instant bursts pay
-/// the queue-maintenance cost once. Events a model schedules *at* the
-/// current instant (including clamped past-time schedules) carry a
-/// higher insertion sequence than everything already staged, so they
-/// correctly fire after the drained batch; delivery order is identical
-/// to the classic binary-heap implementation, bit for bit.
+/// Internally this is a binary min-heap of compact `(at, seq, slot)`
+/// keys over a payload slab, sized for the small pending populations
+/// the simulator actually has, plus a staging buffer that extracts the
+/// entire run of events sharing the next timestamp at once. Events a
+/// model schedules *at* the current instant (including clamped
+/// past-time schedules) carry a higher insertion sequence than
+/// everything already staged, so they go straight onto the staged
+/// batch and correctly fire after it; delivery order is exactly
+/// `(time, insertion order)`.
 pub struct EventQueue<E> {
-    calendar: CalendarQueue<E>,
-    /// Events popped as one same-timestamp batch, awaiting delivery.
-    ready: VecDeque<(u64, E)>,
+    heap: KeyHeap<E>,
+    /// Events popped as one same-timestamp batch, awaiting delivery in
+    /// insertion order.
+    ready: VecDeque<E>,
     /// Shared timestamp of everything in `ready`.
     ready_at: SimTime,
     now: SimTime,
@@ -108,16 +109,10 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue sized for a steady-state population of about
-    /// `capacity` pending events (the calendar ring starts at a
-    /// matching bucket count instead of growing through rebuilds).
+    /// An empty queue with room for about `capacity` pending events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            calendar: CalendarQueue::with_capacity(capacity),
+            heap: KeyHeap::with_capacity(capacity),
             ready: VecDeque::new(),
             ready_at: SimTime::ZERO,
             now: SimTime::ZERO,
@@ -158,25 +153,25 @@ impl<E> EventQueue<E> {
             // Same-instant fast lane. Event-driven models schedule a
             // large share of their events at zero delay (cascade events
             // within one logical instant); those never need to touch
-            // the calendar at all. Appending to the staging buffer is
+            // the heap at all. Appending to the staging buffer is
             // exactly delivery order: everything staged was scheduled
-            // earlier (lower seq), the calendar never holds an event at
-            // the current instant once the batch for `now` has been
-            // extracted (ties share a bucket slot and drain together),
-            // and all other pending events are strictly later.
+            // earlier (lower seq), the heap never holds an event at the
+            // current instant once the batch for `now` has been
+            // extracted (`pop_batch` drains every tie), and all other
+            // pending events are strictly later.
             if self.ready.is_empty() {
                 self.ready_at = at;
             }
             debug_assert_eq!(self.ready_at, at, "staged batch is not at now");
-            self.ready.push_back((seq, event));
+            self.ready.push_back(event);
         } else {
-            self.calendar.schedule(at.as_picos(), seq, event);
+            self.heap.schedule(at.as_picos(), seq, event);
         }
     }
 
     /// Number of events not yet delivered.
     pub fn len(&self) -> usize {
-        self.calendar.len() + self.ready.len()
+        self.heap.len() + self.ready.len()
     }
 
     /// True if no events are pending.
@@ -199,12 +194,12 @@ impl<E> EventQueue<E> {
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
         let (at, event) = match self.ready.pop_front() {
-            Some((_, event)) => (self.ready_at, event),
+            Some(event) => (self.ready_at, event),
             None => {
-                // Batched delivery: one calendar operation hands back the
-                // minimum event and stages the rest of its same-timestamp
-                // run (the single-event common case stages nothing).
-                let (at, event) = self.calendar.pop_batch(&mut self.ready)?;
+                // Batched delivery: the heap hands back the minimum event
+                // and stages the rest of its same-timestamp run (the
+                // single-event common case stages nothing).
+                let (at, event) = self.heap.pop_batch(&mut self.ready)?;
                 self.ready_at = SimTime::from_picos(at);
                 (self.ready_at, event)
             }
@@ -215,11 +210,11 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         if !self.ready.is_empty() {
             return Some(self.ready_at);
         }
-        self.calendar.peek_at().map(SimTime::from_picos)
+        self.heap.peek_at().map(SimTime::from_picos)
     }
 }
 
@@ -239,35 +234,22 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
     /// Serializes the queue — clock, counters, and every pending event
     /// in delivery order — without disturbing it.
     ///
-    /// Internally the pending set is drained (the only way to observe
-    /// delivery order) without touching the clock or the `delivered`
-    /// counter, and re-scheduled back in that same order; the
-    /// re-scheduled events receive fresh insertion sequences, which
-    /// preserves their relative order exactly, so a queue that has been
-    /// saved delivers the same event stream as one that never was.
+    /// Internally the pending set is drained through the delivery path
+    /// (the only way to observe delivery order), the clock and the
+    /// `delivered` counter are put back, and the events are re-scheduled
+    /// in that same order; the re-scheduled events receive fresh
+    /// insertion sequences, which preserves their relative order
+    /// exactly, so a queue that has been saved delivers the same event
+    /// stream as one that never was.
     pub fn save_snapshot(&mut self, w: &mut crate::snapshot::SnapWriter) {
         use crate::snapshot::Snapshot;
-        self.now.save(w);
-        w.u64(self.delivered);
+        let (now, delivered) = (self.now, self.delivered);
+        now.save(w);
+        w.u64(delivered);
         w.u64(self.clamped);
-        let mut pending = Vec::with_capacity(self.len());
-        loop {
-            if let Some((_, event)) = self.ready.pop_front() {
-                pending.push((self.ready_at, event));
-                continue;
-            }
-            match self.calendar.pop_batch(&mut self.ready) {
-                Some((at, event)) => {
-                    self.ready_at = SimTime::from_picos(at);
-                    pending.push((self.ready_at, event));
-                }
-                None => break,
-            }
-        }
-        // The bulk pops above anchored the calendar's window on the
-        // drained timestamps, past the clock; re-anchor the now-empty
-        // calendar on `now` before the events go back in.
-        self.calendar.reanchor(self.now.as_picos());
+        let pending: Vec<_> = std::iter::from_fn(|| self.pop()).collect();
+        self.now = now;
+        self.delivered = delivered;
         w.usize(pending.len());
         for (at, ev) in &pending {
             at.save(w);
@@ -280,13 +262,9 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
 
     /// Rebuilds a queue from [`EventQueue::save_snapshot`] bytes.
     ///
-    /// Order of operations matters: the clock is set and the calendar
-    /// re-anchored on it *before* any event is scheduled, so restored
+    /// The clock is set *before* any event is scheduled, so restored
     /// events at exactly the snapshot instant take the same-instant
-    /// staging lane — the same anchor hazard `CalendarQueue::reanchor`
-    /// exists for (see [`EventQueue::save_snapshot`]). A fresh calendar
-    /// is anchored at time zero; scheduling an at-now event against it
-    /// would misfile the event instead of staging it.
+    /// staging lane, as they would have in the saved queue.
     pub fn load_snapshot(
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
@@ -297,7 +275,6 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
         let n = r.seq_len()?;
         let mut q = EventQueue::with_capacity(n);
         q.now = now;
-        q.calendar.reanchor(now.as_picos());
         let mut prev = now;
         for _ in 0..n {
             let at = SimTime::load(r)?;
@@ -328,7 +305,7 @@ impl<M: Model> Simulation<M> {
     pub fn new(model: M) -> Self {
         Simulation {
             model,
-            queue: EventQueue::new(),
+            queue: EventQueue::with_capacity(0),
         }
     }
 
@@ -613,8 +590,8 @@ mod tests {
         // Saving drains and re-schedules: bookkeeping, not delivery.
         assert_eq!(q.now(), SimTime::from_picos(100));
         assert_eq!(q.delivered(), 1);
-        // The drain pulled the calendar out to 150 ps; an event at
-        // 105 ps scheduled after the save must still fire in order.
+        // The drain popped out to 150 ps; an event at 105 ps scheduled
+        // after the save must still fire in order.
         q.schedule(SimDuration::from_picos(5), 5);
         q.schedule(SimDuration::ZERO, 1);
         let mut order = Vec::new();
@@ -651,10 +628,9 @@ mod tests {
         assert_eq!(restored.len(), 3);
         assert_eq!(restored.delivered(), 1);
 
-        // The regression case: an at-now schedule straight after restore
-        // must join the staging lane *behind* the restored burst. With
-        // the calendar still anchored at time zero (the pre-reanchor
-        // bug), the event would be misfiled instead of staged.
+        // An at-now schedule straight after restore must join the
+        // staging lane *behind* the restored burst, which needs the
+        // restored clock set before the burst was scheduled back.
         restored.schedule_at(restored.now(), 4);
         assert_eq!(restored.clamped(), 0, "at-now after restore is not a clamp");
         let mut order = Vec::new();

@@ -61,9 +61,9 @@
 
 #![warn(missing_docs)]
 
-mod calendar;
 pub mod engine;
 pub mod json;
+mod keyheap;
 pub mod resource;
 pub mod rng;
 pub mod slab;

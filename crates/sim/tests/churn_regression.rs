@@ -1,25 +1,24 @@
 //! Event-kernel throughput regression guards.
 //!
-//! Two shapes bracket the calendar queue's population range:
+//! Two shapes bracket the event queue's population range:
 //!
 //! - **Churn**: deliver one event, schedule one follow-on a few
 //!   nanoseconds out, population hovering near one. This is the
-//!   kernel's worst case for queue-maintenance overhead, and the shape
-//!   that regressed when the calendar queue first replaced the binary
-//!   heap (before the front-cache fix).
+//!   kernel's worst case for per-operation overhead; it exercises the
+//!   parked front, which takes the event without touching the heap.
 //! - **Large population**: pre-fill 200,000 events at pseudo-random
 //!   times with same-time bursts, then drain. This shape exercises the
-//!   calendar's adaptive rebuilds, overflow heap and window advances.
+//!   deep heap: bottom-up pops through about 18 levels of keys, payload
+//!   lookups in a slab too big for cache, and same-instant batches.
 //!
-//! In each, the calendar-backed [`EventQueue`] must stay within a
-//! generous factor of a plain `BinaryHeap` reference driven through
-//! the identical pattern, **measured in the same process on the same
+//! In each, the engine's [`EventQueue`] must stay within a generous
+//! factor of a plain `BinaryHeap` reference driven through the
+//! identical pattern, **measured in the same process on the same
 //! host**, so the ratio is robust to machine speed and build profile
 //! even though absolute wall-clock is not.
 //!
-//! The ratio floor is deliberately loose (the calendar runs at or
-//! above about 0.9× the heap on both shapes): it only trips on a
-//! genuine constant-factor collapse, not scheduler jitter.
+//! The ratio floor is deliberately loose: it only trips on a genuine
+//! constant-factor collapse, not scheduler jitter.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,9 +31,9 @@ use accelflow_sim::time::{SimDuration, SimTime};
 /// Deliveries per repetition — enough to swamp timer granularity in
 /// debug builds while keeping the test under a second.
 const OPS: u64 = 200_000;
-/// Minimum acceptable calendar/heap throughput ratio. The heap-era
-/// kernel scored 1.0 by definition; the regression this guards against
-/// was a >2× collapse on exactly this shape.
+/// Minimum acceptable engine/heap throughput ratio. A kernel as fast as
+/// the reference scores 1.0; the regression this guards against (the
+/// former calendar queue's, on the churn shape) was a >2× collapse.
 const FLOOR: f64 = 0.5;
 /// Best-of repetitions, filtering scheduler noise.
 const REPS: usize = 3;
@@ -58,7 +57,7 @@ impl Model for Churn {
     }
 }
 
-/// Deliveries through the real engine (calendar-backed queue).
+/// Deliveries through the real engine.
 fn engine_churn() -> u64 {
     let mut sim = Simulation::new(Churn { left: OPS });
     sim.queue_mut().schedule(SimDuration::ZERO, 1);
@@ -165,7 +164,7 @@ fn assert_keeps_pace(shape: &str, expect: u64, engine: fn() -> u64, heap: fn() -
     );
     assert!(
         ratio >= FLOOR,
-        "calendar kernel regressed on the {shape} shape: {engine:.0}/s vs heap {heap:.0}/s \
+        "event kernel regressed on the {shape} shape: {engine:.0}/s vs heap {heap:.0}/s \
          (ratio {ratio:.2} < floor {FLOOR})"
     );
 }

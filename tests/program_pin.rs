@@ -35,10 +35,12 @@ fn window() -> SimDuration {
 
 fn fixtures() -> (MachineConfig, TraceLibrary, ServiceTimeModel) {
     let mut cfg = MachineConfig::new(Policy::AccelFlow);
-    // The auditor is on by default in debug builds only; its state is
-    // part of the snapshot, so pin it off to hash the same bytes at
-    // every optimization level.
+    // The auditor is on by default in debug builds only, and telemetry
+    // is on by default under the `telemetry` feature; both are part of
+    // the snapshot, so pin them off to hash the same bytes under every
+    // optimization level and feature set.
     cfg.audit = false;
+    cfg.telemetry = false;
     let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
     timing.set_speedup_scale(cfg.speedup_scale);
     (cfg, TraceLibrary::standard(), timing)
