@@ -103,11 +103,6 @@ impl Accelerator {
         self.policy
     }
 
-    /// Replaces the scheduling policy (e.g. for the SLO experiments).
-    pub fn set_policy(&mut self, policy: QueuePolicy) {
-        self.policy = policy;
-    }
-
     /// Core-path admission (`Enqueue`): errors when the SRAM queue is
     /// full so the core can retry or fall back (§IV-A).
     pub fn admit_from_core(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {

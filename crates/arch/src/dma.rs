@@ -92,11 +92,6 @@ impl DmaPool {
         self.engines.utilization(now)
     }
 
-    /// Number of engines in the pool.
-    pub fn engine_count(&self) -> usize {
-        self.engines.servers()
-    }
-
     /// Engines with a transfer in flight at `now`.
     pub fn busy_engines(&self, now: SimTime) -> usize {
         self.engines.busy_at(now)

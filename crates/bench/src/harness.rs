@@ -234,12 +234,7 @@ pub fn probe_prefix(
     seed: u64,
     warm: bool,
 ) -> sweep::WarmStart {
-    let lib = TraceLibrary::standard();
-    let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
-    timing.set_speedup_scale(cfg.speedup_scale);
-    let prefix = accelflow_core::arrivals::poisson_arrivals(
-        services, &lib, &timing, PREFIX_RPS, cfg.warmup, seed,
-    );
+    let prefix = cfg.poisson_arrivals(services, PREFIX_RPS, cfg.warmup, seed);
     sweep::WarmStart::new(
         cfg.clone(),
         services.to_vec(),
@@ -264,11 +259,7 @@ fn probe_report(
 ) -> RunReport {
     let ms = ((400.0 / rps) * 1000.0).clamp(80.0, 2_000.0) as u64;
     let window = SimDuration::from_millis(ms);
-    let lib = TraceLibrary::standard();
-    let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
-    timing.set_speedup_scale(cfg.speedup_scale);
-    let mut tail =
-        accelflow_core::arrivals::poisson_arrivals(services, &lib, &timing, rps, window, seed);
+    let mut tail = cfg.poisson_arrivals(services, rps, window, seed);
     let offset = prefix.prefix_end();
     for a in &mut tail {
         a.at = offset + SimDuration::from_picos(a.at.as_picos());

@@ -284,11 +284,6 @@ impl WarmStart {
         }
     }
 
-    /// Whether forks restore a snapshot (true) or replay the prefix.
-    pub fn is_warm(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
     /// The prefix horizon: tails must start at or after this instant.
     pub fn prefix_end(&self) -> SimTime {
         SimTime::ZERO + self.prefix_duration

@@ -12,12 +12,12 @@
 //!
 //! # One shared kernel, not N simulations
 //!
-//! The whole fleet is ONE discrete-event [`Model`]: a
-//! [`ClusterModel`](self) whose event type wraps each node's
-//! [`Ev`] with its node id, plus a keep-alive tick. Every node event
-//! flows through the one shared outer [`EventQueue`], so cross-node
-//! causality (dispatch, relocation, health) needs no clock
-//! synchronization protocol — there is only one clock.
+//! The whole fleet is ONE discrete-event model: a `ClusterModel` whose
+//! event type wraps each node's [`Ev`] with its node id, plus a
+//! keep-alive tick. Every node event flows through the one shared
+//! outer [`EventQueue`], so cross-node causality (dispatch, relocation,
+//! health) needs no clock synchronization protocol — there is only one
+//! clock.
 //!
 //! Machine handlers schedule through [`Schedule`], not a concrete
 //! queue. For each node event the cluster builds a `NodeSink` that
@@ -61,13 +61,11 @@ pub use balancer::BalancerKind;
 pub use report::{ClusterReport, HealthReport};
 pub use snapshot::{ClusterRun, CLUSTER_SNAPSHOT_MAGIC};
 
-use accelflow_accel::timing::ServiceTimeModel;
-use accelflow_sim::engine::{EventQueue, Model, Schedule};
+use accelflow_sim::engine::{EventQueue, Schedule};
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::time::{SimDuration, SimTime};
-use accelflow_trace::templates::TraceLibrary;
 
-use crate::arrivals::{poisson_arrivals, Arrival};
+use crate::arrivals::Arrival;
 use crate::machine::{Ev, Machine, MachineConfig};
 use crate::request::ServiceSpec;
 
@@ -189,14 +187,14 @@ struct NodeSlot {
 /// call: clamps past-time schedules to the outer clock (counting them
 /// against the node), tags each event with the node id, and pushes it
 /// straight into the outer queue. While an [`Ev::Arrive`] is handled,
-/// schedules are held in `held` instead, so the caller can chain the
-/// next global arrival first — the order a bare machine's `on_arrive`
-/// schedules in.
+/// or a fresh node arms, the tagged events are held in `held` instead,
+/// so the caller can chain the next global arrival first — the order
+/// a bare machine schedules in.
 struct NodeSink<'a> {
     outer: &'a mut EventQueue<CEv>,
     node: u16,
     clamped: &'a mut u64,
-    held: Option<&'a mut Vec<(SimTime, Ev)>>,
+    held: Option<&'a mut Vec<(SimTime, CEv)>>,
 }
 
 impl Schedule<Ev> for NodeSink<'_> {
@@ -212,9 +210,10 @@ impl Schedule<Ev> for NodeSink<'_> {
             *self.clamped += 1;
         }
         let at = at.max(now);
+        let event = CEv::Node(self.node, event);
         match self.held.as_deref_mut() {
             Some(held) => held.push((at, event)),
-            None => self.outer.schedule_at(at, CEv::Node(self.node, event)),
+            None => self.outer.schedule_at(at, event),
         }
     }
 }
@@ -235,13 +234,53 @@ struct ClusterModel<F> {
     health: HealthReport,
     /// Reused buffer for the per-decision live-load snapshot.
     live_scratch: Vec<u64>,
-    /// Reused buffer for an `Ev::Arrive` handler's schedules, held
-    /// until the next arrival is chained.
-    held: Vec<(SimTime, Ev)>,
+    /// Reused buffer for node schedules held until the next arrival is
+    /// chained (see [`NodeSink`]).
+    held: Vec<(SimTime, CEv)>,
     observe: F,
 }
 
 impl<F> ClusterModel<F> {
+    /// The fleet over `nodes` before its first dispatch: an empty
+    /// backlog, the round-robin cursor at node 0, and the placement RNG
+    /// salted off `seed`. [`ClusterRun::restore`] overwrites the
+    /// dispatcher's dynamic fields from the snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cfg.weights` is non-empty with a length other than
+    /// `cfg.nodes`.
+    fn new(cfg: &ClusterConfig, nodes: Vec<NodeSlot>, seed: u64, observe: F) -> Self {
+        let weights = if cfg.weights.is_empty() {
+            vec![1.0; cfg.nodes]
+        } else {
+            assert_eq!(
+                cfg.weights.len(),
+                cfg.nodes,
+                "weights must match the node count"
+            );
+            cfg.weights.clone()
+        };
+        ClusterModel {
+            nodes,
+            link: cfg.link,
+            balancer: cfg.balancer,
+            weights,
+            rr_cursor: 0,
+            rng: SimRng::seed(seed ^ DISPATCH_RNG_SALT),
+            pending: Vec::new(),
+            keepalive: cfg.keepalive,
+            suspend_dark_stations: cfg.suspend_dark_stations,
+            health: HealthReport {
+                dispatched: vec![0; cfg.nodes],
+                ..HealthReport::default()
+            },
+            live_scratch: Vec::with_capacity(cfg.nodes),
+            held: Vec::new(),
+            observe,
+        }
+    }
+
     /// Places the next pending arrival: consult the balancer, route
     /// around suspended nodes, push the payload onto the target
     /// machine. Returns the event for the caller to schedule into the
@@ -285,6 +324,17 @@ impl<F> ClusterModel<F> {
         Some((at, target as u16, local))
     }
 
+    /// Schedules the next global arrival on `outer`, then releases the
+    /// node schedules held behind it.
+    fn chain_next_arrival(&mut self, now: SimTime, outer: &mut EventQueue<CEv>) {
+        if let Some((at, target, local)) = self.dispatch_next(now) {
+            outer.schedule_at(at, CEv::Node(target, Ev::Arrive(local)));
+        }
+        for (at, event) in self.held.drain(..) {
+            outer.schedule_at(at, event);
+        }
+    }
+
     /// Keep-alive round: re-arm the next tick, then poll every node's
     /// dark-station count against the suspension threshold.
     fn on_keepalive(&mut self, now: SimTime, outer: &mut EventQueue<CEv>) {
@@ -308,9 +358,8 @@ impl<F> ClusterModel<F> {
     }
 }
 
-impl<F: FnMut(SimTime, u16, &Ev)> Model for ClusterModel<F> {
-    type Event = CEv;
-
+impl<F: FnMut(SimTime, u16, &Ev)> ClusterModel<F> {
+    /// Delivers one fleet event, scheduling follow-ons on `outer`.
     fn handle(&mut self, now: SimTime, event: CEv, outer: &mut EventQueue<CEv>) {
         match event {
             CEv::Node(i, ev) => {
@@ -328,12 +377,7 @@ impl<F: FnMut(SimTime, u16, &Ev)> Model for ClusterModel<F> {
                     // A bare machine's on_arrive schedules the next
                     // Arrive first and its own follow-ons after; the
                     // differential tests pin that exact sequence.
-                    if let Some((at, target, local)) = self.dispatch_next(now) {
-                        outer.schedule_at(at, CEv::Node(target, Ev::Arrive(local)));
-                    }
-                    for (at, ev) in self.held.drain(..) {
-                        outer.schedule_at(at, CEv::Node(i, ev));
-                    }
+                    self.chain_next_arrival(now, outer);
                 }
             }
             CEv::KeepAlive => self.on_keepalive(now, outer),
@@ -376,13 +420,9 @@ impl Cluster {
         duration: SimDuration,
         seed: u64,
     ) -> ClusterReport {
-        let timing = {
-            let mut t = ServiceTimeModel::calibrated(cfg.node.arch.core_clock);
-            t.set_speedup_scale(cfg.node.speedup_scale);
-            t
-        };
-        let lib = TraceLibrary::standard();
-        let arrivals = poisson_arrivals(services, &lib, &timing, rps_per_service, duration, seed);
+        let arrivals = cfg
+            .node
+            .poisson_arrivals(services, rps_per_service, duration, seed);
         Self::run_arrivals(cfg, services, arrivals, duration, seed)
     }
 

@@ -12,21 +12,17 @@
 //! configuration hash refuses anything else. Format details in
 //! `docs/CHECKPOINT.md`.
 
-use accelflow_sim::engine::{EventQueue, Simulation};
-use accelflow_sim::rng::SimRng;
+use accelflow_sim::engine::EventQueue;
 use accelflow_sim::snapshot::{
-    check_header, fnv1a, write_header, SnapReader, SnapWriter, Snapshot, SnapshotError,
+    check_header, write_header, SnapReader, SnapWriter, Snapshot, SnapshotError,
 };
 use accelflow_sim::time::{SimDuration, SimTime};
 
 use crate::arrivals::Arrival;
-use crate::machine::{Ev, Machine};
+use crate::machine::{config_hash, service_names, Ev, Machine, DRAIN_MARGIN};
 use crate::request::ServiceSpec;
 
-use super::{
-    CEv, Cluster, ClusterConfig, ClusterModel, ClusterReport, HealthReport, NodeSlot,
-    DISPATCH_RNG_SALT,
-};
+use super::{CEv, ClusterConfig, ClusterModel, ClusterReport, HealthReport, NodeSink, NodeSlot};
 
 /// Leading magic bytes of a cluster snapshot — distinct from the
 /// machine magic so the two snapshot kinds can never be confused.
@@ -66,28 +62,15 @@ fn load_node_queue(r: &mut SnapReader<'_>) -> Result<u64, SnapshotError> {
     }
 }
 
-impl Cluster {
-    /// The configuration-identity hash carried in cluster snapshot
-    /// headers: FNV-1a over the cluster config's `Debug` rendering plus
-    /// the service names (the seed is excluded — every RNG stream
-    /// position is serialized).
-    pub fn config_hash(cfg: &ClusterConfig, service_names: &[String]) -> u64 {
-        let mut buf = format!("{cfg:?}").into_bytes();
-        for name in service_names {
-            buf.push(0);
-            buf.extend_from_slice(name.as_bytes());
-        }
-        fnv1a(&buf)
-    }
-}
-
 /// A cluster run held open for stepwise control: run to an instant,
-/// snapshot, resume, finish. [`Cluster::run_arrivals`] and friends are
-/// one-shot wrappers over this, exactly as
+/// snapshot, resume, finish.
+/// [`Cluster::run_arrivals`](super::Cluster::run_arrivals) and friends
+/// are one-shot wrappers over this, exactly as
 /// [`Machine::run_arrivals`](crate::machine::Machine::run_arrivals)
 /// wraps [`MachineRun`](crate::machine::MachineRun).
 pub struct ClusterRun<F: FnMut(SimTime, u16, &Ev)> {
-    sim: Simulation<ClusterModel<F>>,
+    model: ClusterModel<F>,
+    queue: EventQueue<CEv>,
     /// Arrival horizon (the measurement window end; excludes drain).
     end: SimTime,
     /// Configuration-identity hash, computed once at start/restore and
@@ -97,7 +80,8 @@ pub struct ClusterRun<F: FnMut(SimTime, u16, &Ev)> {
 
 impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
     /// Opens a fleet run over a pre-generated arrival list (the
-    /// stepwise form of [`Cluster::run_arrivals_observed`]).
+    /// stepwise form of
+    /// [`Cluster::run_arrivals_observed`](super::Cluster::run_arrivals_observed)).
     ///
     /// # Panics
     ///
@@ -117,21 +101,9 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             "node ids are u16: at most {} nodes",
             u16::MAX
         );
-        let weights = if cfg.weights.is_empty() {
-            vec![1.0; cfg.nodes]
-        } else {
-            assert_eq!(
-                cfg.weights.len(),
-                cfg.nodes,
-                "weights must match the node count"
-            );
-            cfg.weights.clone()
-        };
-
-        let names: Vec<String> = services.iter().map(|s| s.name.clone()).collect();
-        let cfg_hash = Cluster::config_hash(cfg, &names);
+        let names = service_names(services);
         let end = SimTime::ZERO + duration;
-        let nodes: Vec<NodeSlot> = (0..cfg.nodes)
+        let nodes = (0..cfg.nodes)
             .map(|i| NodeSlot {
                 // Per-node seeds are consecutive so node 0 of a
                 // one-node cluster draws the exact streams a bare
@@ -147,52 +119,34 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
                 suspended: false,
             })
             .collect();
-
-        let mut pending = arrivals;
-        pending.reverse();
-        let model = ClusterModel {
-            nodes,
-            link: cfg.link,
-            balancer: cfg.balancer,
-            weights,
-            rr_cursor: 0,
-            rng: SimRng::seed(seed ^ DISPATCH_RNG_SALT),
-            pending,
-            keepalive: cfg.keepalive,
-            suspend_dark_stations: cfg.suspend_dark_stations,
-            health: HealthReport {
-                dispatched: vec![0; cfg.nodes],
-                ..HealthReport::default()
-            },
-            live_scratch: Vec::with_capacity(cfg.nodes),
-            held: Vec::new(),
-            observe,
-        };
-        let mut sim = Simulation::new(model);
+        let mut model = ClusterModel::new(cfg, nodes, seed, observe);
+        model.pending = arrivals;
+        model.pending.reverse();
+        let mut queue = EventQueue::with_capacity(0);
 
         // Seeding order mirrors a bare machine run: the first arrival,
-        // then each node's fault-stream and autoscaler arming, then
-        // (cluster-only) the first keep-alive tick.
-        if let Some((at, target, local)) = sim.model_mut().dispatch_next(SimTime::ZERO) {
-            sim.queue_mut()
-                .schedule_at(at, CEv::Node(target, Ev::Arrive(local)));
+        // then each node's `Machine::arm` schedules, then (cluster-only)
+        // the first keep-alive tick. The nodes arm before the first
+        // dispatch, while none of them holds an arrival, into the held
+        // buffer the first arrival is chained ahead of.
+        for (i, node) in model.nodes.iter_mut().enumerate() {
+            node.machine.arm(&mut NodeSink {
+                outer: &mut queue,
+                node: i as u16,
+                clamped: &mut node.clamped,
+                held: Some(&mut model.held),
+            });
         }
-        for i in 0..cfg.nodes {
-            let armed = sim.model_mut().nodes[i].machine.arm_initial_faults();
-            for (at, class) in armed {
-                sim.queue_mut()
-                    .schedule_at(at, CEv::Node(i as u16, Ev::FaultInject(class)));
-            }
-            if let Some(at) = sim.model().nodes[i].machine.arm_autoscaler() {
-                sim.queue_mut()
-                    .schedule_at(at, CEv::Node(i as u16, Ev::ScaleTick));
-            }
-        }
+        model.chain_next_arrival(SimTime::ZERO, &mut queue);
         if let Some(tick) = cfg.keepalive {
-            sim.queue_mut()
-                .schedule_at(SimTime::ZERO + tick, CEv::KeepAlive);
+            queue.schedule_at(SimTime::ZERO + tick, CEv::KeepAlive);
         }
-        ClusterRun { sim, end, cfg_hash }
+        ClusterRun {
+            model,
+            queue,
+            end,
+            cfg_hash: config_hash(cfg, &names),
+        }
     }
 
     /// Reopens a run from [`ClusterRun::snapshot`] bytes. Refuses
@@ -204,10 +158,10 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
         bytes: &[u8],
         observe: F,
     ) -> Result<Self, SnapshotError> {
-        let names: Vec<String> = services.iter().map(|s| s.name.clone()).collect();
-        let expected = Cluster::config_hash(cfg, &names);
+        let names = service_names(services);
+        let cfg_hash = config_hash(cfg, &names);
         let mut r = SnapReader::new(bytes);
-        check_header(&mut r, CLUSTER_SNAPSHOT_MAGIC, expected)?;
+        check_header(&mut r, CLUSTER_SNAPSHOT_MAGIC, cfg_hash)?;
         let end = SimTime::load(&mut r)?;
 
         let node_count = r.seq_len()?;
@@ -229,72 +183,61 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             });
         }
 
-        let rr_cursor = r.usize()?;
-        let rng = Snapshot::load(&mut r)?;
-        let pending: Vec<Arrival> = Snapshot::load(&mut r)?;
-        let health: HealthReport = Snapshot::load(&mut r)?;
-        if health.dispatched.len() != cfg.nodes {
+        let mut model = ClusterModel::new(cfg, nodes, 0, observe);
+        model.rr_cursor = r.usize()?;
+        if model.rr_cursor >= cfg.nodes {
+            // The cursor is always the index of the last node picked.
+            return Err(SnapshotError::Corrupt(format!(
+                "round-robin cursor {} on a {}-node fleet",
+                model.rr_cursor, cfg.nodes
+            )));
+        }
+        model.rng = Snapshot::load(&mut r)?;
+        model.pending = Snapshot::load(&mut r)?;
+        model.health = Snapshot::load(&mut r)?;
+        if model.health.dispatched.len() != cfg.nodes {
             return Err(SnapshotError::Corrupt(format!(
                 "dispatch counters cover {} nodes, config builds {}",
-                health.dispatched.len(),
+                model.health.dispatched.len(),
                 cfg.nodes
             )));
         }
-        let outer = EventQueue::load_snapshot(&mut r)?;
+        let queue = EventQueue::load_snapshot(&mut r)?;
         if !r.is_exhausted() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after the outer event queue",
                 bytes.len() - r.position()
             )));
         }
-
-        let weights = if cfg.weights.is_empty() {
-            vec![1.0; cfg.nodes]
-        } else {
-            cfg.weights.clone()
-        };
-        let model = ClusterModel {
-            nodes,
-            link: cfg.link,
-            balancer: cfg.balancer,
-            weights,
-            rr_cursor,
-            rng,
-            pending,
-            keepalive: cfg.keepalive,
-            suspend_dark_stations: cfg.suspend_dark_stations,
-            health,
-            live_scratch: Vec::with_capacity(cfg.nodes),
-            held: Vec::new(),
-            observe,
-        };
         Ok(ClusterRun {
-            sim: Simulation::from_parts(model, outer),
+            model,
+            queue,
             end,
-            cfg_hash: expected,
+            cfg_hash,
         })
     }
 
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.queue.now()
     }
 
     /// Delivers every event strictly before `t`.
     pub fn run_to(&mut self, t: SimTime) {
-        self.sim.run_until(t);
+        let model = &mut self.model;
+        self.queue
+            .run_until(t, |now, event, outer| model.handle(now, event, outer));
     }
 
     /// Takes a versioned snapshot of the whole fleet and its pending
     /// events. The run is not disturbed and may keep going.
     pub fn snapshot(&mut self) -> Vec<u8> {
-        let cfg_hash = self.cfg_hash;
-        let (model, outer) = self.sim.parts_mut();
+        let (model, outer) = (&self.model, &mut self.queue);
         let mut w = SnapWriter::new();
-        write_header(&mut w, CLUSTER_SNAPSHOT_MAGIC, cfg_hash);
+        write_header(&mut w, CLUSTER_SNAPSHOT_MAGIC, self.cfg_hash);
         self.end.save(&mut w);
         w.usize(model.nodes.len());
-        for node in &mut model.nodes {
+        for node in &model.nodes {
             node.machine.save_dynamic(&mut w);
             save_node_queue(&mut w, outer.now(), node.clamped);
             w.bool(node.suspended);
@@ -310,14 +253,10 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
     /// Runs through the drain window past the horizon and extracts the
     /// fleet report.
     pub fn finish(mut self) -> ClusterReport {
-        let drain = self.end + SimDuration::from_millis(30);
-        self.sim.run_until(drain);
-        let now = self.sim.now();
-        let events = self.sim.queue_mut().delivered();
-        let clamped = self.sim.queue_mut().clamped();
-        let model = self.sim.into_model();
-        let health = model.health;
-        let per_node = model
+        self.run_to(self.end + DRAIN_MARGIN);
+        let now = self.queue.now();
+        let per_node = self
+            .model
             .nodes
             .into_iter()
             .map(|slot| {
@@ -328,9 +267,9 @@ impl<F: FnMut(SimTime, u16, &Ev)> ClusterRun<F> {
             .collect();
         ClusterReport {
             per_node,
-            health,
-            events,
-            clamped,
+            health: self.model.health,
+            events: self.queue.delivered(),
+            clamped: self.queue.clamped(),
         }
     }
 }
@@ -353,6 +292,32 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         assert_eq!(load_node_queue(&mut r).unwrap(), 7);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn restore_rejects_a_round_robin_cursor_past_the_fleet() {
+        use crate::machine::MachineConfig;
+        use crate::policy::Policy;
+        use crate::request::{CallSpec, StageSpec};
+        use accelflow_trace::templates::TemplateId;
+
+        let services = [ServiceSpec::new(
+            "Ping",
+            vec![StageSpec::Call(CallSpec::new(TemplateId::T1))],
+        )];
+        let cfg = ClusterConfig::new(3, MachineConfig::new(Policy::AccelFlow));
+        let duration = SimDuration::from_millis(2);
+        let arrivals = cfg.node.poisson_arrivals(&services, 500.0, duration, 1);
+        for cursor in [cfg.nodes, usize::MAX] {
+            let mut run =
+                ClusterRun::start(&cfg, &services, arrivals.clone(), duration, 1, |_, _, _| {});
+            run.model.rr_cursor = cursor;
+            let bytes = run.snapshot();
+            match ClusterRun::restore(&cfg, &services, &bytes, |_, _, _| {}) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("cursor"), "{msg}"),
+                other => panic!("cursor {cursor}: expected Corrupt, got {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

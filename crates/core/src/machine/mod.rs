@@ -2,7 +2,9 @@
 //! ensemble, executing sampled request programs under any of the ten
 //! orchestration policies (paper §III, §IV, §VI).
 //!
-//! The machine is a discrete-event [`Model`]. Requests arrive as
+//! The machine is a discrete-event model: [`MachineRun`] drives it from
+//! its own [`EventQueue`](accelflow_sim::engine::EventQueue), the
+//! cluster layer from the fleet's shared queue. Requests arrive as
 //! network messages; their programs interleave app-logic stages on the
 //! core pool with trace calls over the accelerator stations. What
 //! differs between policies is purely *how control and data move
@@ -55,6 +57,7 @@ mod snapshot;
 mod tests;
 mod transfer;
 
+pub(crate) use snapshot::{config_hash, service_names, DRAIN_MARGIN};
 pub use snapshot::{MachineRun, SNAPSHOT_MAGIC};
 
 use std::collections::VecDeque;
@@ -67,7 +70,7 @@ use accelflow_arch::dma::DmaPool;
 use accelflow_arch::energy::{EnergyMeter, EnergyModel};
 use accelflow_arch::interconnect::Interconnect;
 use accelflow_arch::topology::{ChipletLayout, Endpoint, UnitId};
-use accelflow_sim::engine::{EventQueue, Model, Schedule};
+use accelflow_sim::engine::Schedule;
 use accelflow_sim::resource::ServerPool;
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::slab::{Slab, SlotId};
@@ -210,10 +213,28 @@ impl MachineConfig {
             n => panic!("unsupported chiplet count {n} (use 1, 2, 3, 4, or 6)"),
         }
     }
+
+    /// Poisson arrivals at `rps_per_service` for each service over
+    /// `duration`, sampled with this configuration's calibrated service
+    /// times and speedup scale (the [`Machine::run_workload`] and
+    /// [`Cluster::run_workload`](crate::cluster::Cluster::run_workload)
+    /// generator).
+    pub fn poisson_arrivals(
+        &self,
+        services: &[ServiceSpec],
+        rps_per_service: f64,
+        duration: SimDuration,
+        seed: u64,
+    ) -> Vec<Arrival> {
+        let mut timing = ServiceTimeModel::calibrated(self.arch.core_clock);
+        timing.set_speedup_scale(self.speedup_scale);
+        let lib = TraceLibrary::standard();
+        poisson_arrivals(services, &lib, &timing, rps_per_service, duration, seed)
+    }
 }
 
-/// Machine events (an implementation detail exposed only because
-/// [`Machine`] implements [`Model`]).
+/// Machine events (an implementation detail exposed only for event
+/// observers such as [`Machine::run_arrivals_observed`]).
 #[derive(Clone, Debug)]
 #[doc(hidden)]
 pub enum Ev {
@@ -458,13 +479,7 @@ impl Machine {
         duration: SimDuration,
         seed: u64,
     ) -> RunReport {
-        let timing = {
-            let mut t = ServiceTimeModel::calibrated(cfg.arch.core_clock);
-            t.set_speedup_scale(cfg.speedup_scale);
-            t
-        };
-        let lib = TraceLibrary::standard();
-        let arrivals = poisson_arrivals(services, &lib, &timing, rps_per_service, duration, seed);
+        let arrivals = cfg.poisson_arrivals(services, rps_per_service, duration, seed);
         Self::run_arrivals(cfg, services, arrivals, duration, seed)
     }
 
@@ -502,11 +517,10 @@ impl Machine {
 }
 
 /// Hooks for the [`cluster`](crate::cluster) composition layer, which
-/// drives N captive machines from one shared outer kernel instead of
-/// giving each its own [`Simulation`]. Crate-private: the cluster is
-/// the only caller, and the contract (one pending pushed arrival per
-/// machine at a time, reports extracted after the outer run drains) is
-/// enforced there.
+/// drives N captive machines from one shared outer queue instead of
+/// giving each its own. Crate-private: the cluster is the only caller,
+/// and the contract (one pending pushed arrival per machine at a time,
+/// reports extracted after the outer run drains) is enforced there.
 impl Machine {
     /// Registers one externally-dispatched arrival and returns the
     /// local index to carry in its [`Ev::Arrive`]. The cluster pushes
@@ -536,20 +550,6 @@ impl Machine {
             .faults
             .as_ref()
             .map_or(0, |f| f.avail.len() - f.avail.available_count(now))
-    }
-
-    /// Arms each enabled fault class's Poisson stream (see
-    /// [`MachineCtx::draw_initial_faults`]); the caller schedules the
-    /// returned events into its own queue.
-    pub(crate) fn arm_initial_faults(&mut self) -> Vec<(SimTime, FaultClass)> {
-        self.ctx.draw_initial_faults()
-    }
-
-    /// First autoscaler tick instant, if an autoscaler is configured;
-    /// the caller schedules the [`Ev::ScaleTick`] itself (the tick
-    /// chain then re-arms through the machine's own queue handle).
-    pub(crate) fn arm_autoscaler(&self) -> Option<SimTime> {
-        self.ctx.first_scale_tick()
     }
 
     /// Extracts the run report once the outer kernel has drained.
@@ -613,9 +613,34 @@ impl MachineCtx {
 }
 
 impl Machine {
+    /// Schedules a fresh run's opening events through `queue`, in this
+    /// order: the first preloaded [`Ev::Arrive`], each enabled fault
+    /// class's first [`Ev::FaultInject`] in [`FaultClass::ALL`] order,
+    /// and the autoscaler's first [`Ev::ScaleTick`]. Each chain then
+    /// re-arms itself from its handler. Without faults or an
+    /// autoscaler it schedules nothing for them and draws no
+    /// randomness.
+    pub(crate) fn arm(&mut self, queue: &mut impl Schedule<Ev>) {
+        let ctx = &mut self.ctx;
+        if let Some(first) = ctx.arrivals.last() {
+            queue.schedule_at(first.at, Ev::Arrive(0));
+        }
+        if let Some(f) = ctx.faults.as_mut() {
+            for class in FaultClass::ALL {
+                if let Some(gap) = f.draw_gap(class) {
+                    queue.schedule_at(SimTime::ZERO + gap, Ev::FaultInject(class));
+                }
+            }
+        }
+        if let Some(scaler) = ctx.control.as_ref().and_then(|c| c.cfg.autoscaler) {
+            queue.schedule_at(SimTime::ZERO + scaler.interval, Ev::ScaleTick);
+        }
+    }
+
     /// Delivers one event, scheduling follow-ons through `queue`: the
-    /// machine's own [`EventQueue`] in a bare run, or the cluster's
-    /// per-node sink that forwards into the shared fleet queue.
+    /// machine's own [`EventQueue`](accelflow_sim::engine::EventQueue)
+    /// in a bare run, or the cluster's per-node sink that forwards into
+    /// the shared fleet queue.
     #[inline]
     pub(crate) fn handle_event(&mut self, now: SimTime, event: Ev, queue: &mut impl Schedule<Ev>) {
         let ctx = &mut self.ctx;
@@ -651,14 +676,5 @@ impl Machine {
             Ev::ScaleTick => ctx.on_scale_tick(now, queue),
         }
         ctx.audit_post_event(now);
-    }
-}
-
-impl Model for Machine {
-    type Event = Ev;
-
-    #[inline]
-    fn handle(&mut self, now: SimTime, event: Ev, queue: &mut EventQueue<Ev>) {
-        self.handle_event(now, event, queue);
     }
 }

@@ -29,19 +29,6 @@ use super::lifecycle::call_arg;
 use super::{Ev, MachineCtx};
 
 impl MachineCtx {
-    /// Gaps to each enabled class's first injection, drawn in
-    /// [`FaultClass::ALL`] order at machine start. Empty (and zero RNG
-    /// draws) when fault injection is disabled.
-    pub(crate) fn draw_initial_faults(&mut self) -> Vec<(SimTime, FaultClass)> {
-        let Some(f) = self.faults.as_mut() else {
-            return Vec::new();
-        };
-        FaultClass::ALL
-            .iter()
-            .filter_map(|&class| f.draw_gap(class).map(|gap| (SimTime::ZERO + gap, class)))
-            .collect()
-    }
-
     /// Whether `station`'s PEs may start work at `now`: not inside a
     /// fault-injected stall window, and lit by the autoscaler (always
     /// true when both subsystems are off).

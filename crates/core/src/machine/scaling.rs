@@ -28,14 +28,6 @@ use accelflow_trace::kind::AccelKind;
 use super::{Ev, MachineCtx};
 
 impl MachineCtx {
-    /// The first autoscaler tick instant, when one is configured.
-    pub(crate) fn first_scale_tick(&self) -> Option<SimTime> {
-        self.control
-            .as_ref()
-            .and_then(|c| c.cfg.autoscaler)
-            .map(|a| SimTime::ZERO + a.interval)
-    }
-
     /// Ingress decision for one arrival: `None` admits; otherwise the
     /// rejection reason (also the telemetry instant name). Counters
     /// cover measured arrivals only, matching `offered`.

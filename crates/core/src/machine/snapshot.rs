@@ -16,7 +16,7 @@
 //! carried over. See `docs/CHECKPOINT.md` for the captured/not-captured
 //! accounting and the determinism argument.
 
-use accelflow_sim::engine::{EventQueue, Model, Simulation};
+use accelflow_sim::engine::EventQueue;
 use accelflow_sim::impl_snapshot;
 use accelflow_sim::slab::SlotId;
 use accelflow_sim::snapshot::{
@@ -37,9 +37,9 @@ use super::{Ev, Machine, MachineConfig, MachineCtx};
 /// Leading magic bytes of a machine snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"AFSN";
 
-/// Drain window granted past the arrival horizon before the report is
-/// extracted (stragglers complete; matches the pre-checkpoint runner).
-const DRAIN_MARGIN: SimDuration = SimDuration::from_millis(30);
+/// Drain window granted past the arrival horizon before a machine or
+/// cluster report is extracted (stragglers complete).
+pub(crate) const DRAIN_MARGIN: SimDuration = SimDuration::from_millis(30);
 
 // ----- request serialization -----
 //
@@ -210,64 +210,27 @@ impl MachineCtx {
     }
 }
 
+/// The configuration-identity hash carried in machine and cluster
+/// snapshot headers: FNV-1a over the config's `Debug` rendering plus
+/// the service names. The workload seed is *not* part of the identity
+/// — every RNG stream position is serialized, so a snapshot carries its
+/// seed's consequences with it.
+pub(crate) fn config_hash(cfg: &impl std::fmt::Debug, service_names: &[String]) -> u64 {
+    let mut buf = format!("{cfg:?}").into_bytes();
+    for name in service_names {
+        buf.push(0);
+        buf.extend_from_slice(name.as_bytes());
+    }
+    fnv1a(&buf)
+}
+
+/// The service names a machine is built with, in service order.
+pub(crate) fn service_names(services: &[ServiceSpec]) -> Vec<String> {
+    services.iter().map(|s| s.name.clone()).collect()
+}
+
 impl Machine {
-    /// The configuration-identity hash carried in snapshot headers:
-    /// FNV-1a over the config's `Debug` rendering plus the service
-    /// names. The workload seed is *not* part of the identity — every
-    /// RNG stream position is serialized, so a snapshot carries its
-    /// seed's consequences with it.
-    pub fn config_hash(cfg: &MachineConfig, service_names: &[String]) -> u64 {
-        let mut buf = format!("{cfg:?}").into_bytes();
-        for name in service_names {
-            buf.push(0);
-            buf.extend_from_slice(name.as_bytes());
-        }
-        fnv1a(&buf)
-    }
-
-    /// Serializes the machine and its pending event set into a
-    /// versioned snapshot. `queue` is borrowed mutably because
-    /// observing delivery order requires a non-destructive drain (see
-    /// [`EventQueue::save_snapshot`]); the queue is left undisturbed.
-    pub fn snapshot(&self, queue: &mut EventQueue<Ev>) -> Vec<u8> {
-        let names: Vec<String> = self.ctx.stats.iter().map(|s| s.name.clone()).collect();
-        let mut w = SnapWriter::new();
-        write_header(
-            &mut w,
-            SNAPSHOT_MAGIC,
-            Self::config_hash(&self.ctx.cfg, &names),
-        );
-        self.ctx.save_dynamic(&mut w);
-        queue.save_snapshot(&mut w);
-        w.into_bytes()
-    }
-
-    /// Rebuilds a machine from `cfg` + `service_names` and overwrites
-    /// its dynamic state from `bytes`, returning the machine and the
-    /// restored event queue (reassemble with
-    /// [`Simulation::from_parts`], or use
-    /// [`MachineRun::restore`]). Refuses snapshots whose header magic,
-    /// schema version, or configuration hash does not match.
-    pub fn restore(
-        cfg: &MachineConfig,
-        service_names: &[String],
-        bytes: &[u8],
-    ) -> Result<(Machine, EventQueue<Ev>), SnapshotError> {
-        let expected = Self::config_hash(cfg, service_names);
-        let mut r = SnapReader::new(bytes);
-        check_header(&mut r, SNAPSHOT_MAGIC, expected)?;
-        let machine = Machine::restore_dynamic(cfg, service_names, &mut r)?;
-        let queue = EventQueue::load_snapshot(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after the event queue",
-                bytes.len() - r.position()
-            )));
-        }
-        Ok((machine, queue))
-    }
-
-    /// Headerless body of [`Machine::snapshot`] — the cluster layer
+    /// The headerless machine body of a snapshot — the cluster layer
     /// embeds per-node machine state under its own single header.
     pub(crate) fn save_dynamic(&self, w: &mut SnapWriter) {
         self.ctx.save_dynamic(w);
@@ -295,33 +258,18 @@ impl Machine {
 
 // ----- the resumable run handle -----
 
-/// Transparent [`Model`] shim that reports each event before forwarding
-/// it to the machine (the anchor for golden event-stream hashing).
-pub(crate) struct ObservedMachine<F> {
-    pub(crate) machine: Machine,
-    pub(crate) observe: F,
-}
-
-impl<F: FnMut(SimTime, &Ev)> Model for ObservedMachine<F> {
-    type Event = Ev;
-    #[inline]
-    fn handle(&mut self, now: SimTime, event: Ev, queue: &mut EventQueue<Ev>) {
-        (self.observe)(now, &event);
-        self.machine.handle_event(now, event, queue);
-    }
-}
-
 /// A machine run held open for stepwise control: run to an instant,
 /// snapshot, append arrivals, resume, finish. [`Machine::run_arrivals`]
 /// and friends are one-shot wrappers over this.
 ///
 /// The observer `F` is invoked for every delivered event in delivery
-/// order — pass `|_, _| {}` when the event stream is not needed.
+/// order, before the machine handles it — pass `|_, _| {}` when the
+/// event stream is not needed.
 ///
 /// # Example: checkpoint mid-run, fork, resume
 ///
 /// ```
-/// use accelflow_core::machine::{Machine, MachineConfig, MachineRun};
+/// use accelflow_core::machine::{MachineConfig, MachineRun};
 /// use accelflow_core::policy::Policy;
 /// use accelflow_core::request::{CallSpec, ServiceSpec, StageSpec};
 /// use accelflow_sim::time::{SimDuration, SimTime};
@@ -334,9 +282,8 @@ impl<F: FnMut(SimTime, &Ev)> Model for ObservedMachine<F> {
 ///     vec![StageSpec::Call(CallSpec::new(TemplateId::T1))],
 /// )];
 /// let duration = SimDuration::from_millis(4);
-/// let mut run = MachineRun::start_with(
-///     &cfg, &services, 2_000.0, duration, 7, |_, _| {},
-/// );
+/// let arrivals = cfg.poisson_arrivals(&services, 2_000.0, duration, 7);
+/// let mut run = MachineRun::start(&cfg, &services, arrivals, duration, 7, |_, _| {});
 /// run.run_to(SimTime::ZERO + SimDuration::from_millis(2));
 /// let bytes = run.snapshot();
 ///
@@ -347,7 +294,9 @@ impl<F: FnMut(SimTime, &Ev)> Model for ObservedMachine<F> {
 /// assert_eq!(straight.completed(), forked.completed());
 /// ```
 pub struct MachineRun<F: FnMut(SimTime, &Ev)> {
-    sim: Simulation<ObservedMachine<F>>,
+    machine: Machine,
+    queue: EventQueue<Ev>,
+    observe: F,
 }
 
 impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
@@ -361,92 +310,82 @@ impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
         seed: u64,
         observe: F,
     ) -> Self {
-        let names = services.iter().map(|s| s.name.clone()).collect();
         let end = SimTime::ZERO + duration;
-        let machine = Machine::new(cfg.clone(), names, arrivals, end, seed);
-        let mut sim = Simulation::new(ObservedMachine { machine, observe });
-        if let Some(first) = sim.model().machine.ctx.arrivals.last() {
-            let at = first.at;
-            sim.queue_mut().schedule_at(at, Ev::Arrive(0));
+        let mut machine = Machine::new(cfg.clone(), service_names(services), arrivals, end, seed);
+        let mut queue = EventQueue::with_capacity(0);
+        machine.arm(&mut queue);
+        MachineRun {
+            machine,
+            queue,
+            observe,
         }
-        // Arm each enabled fault class's Poisson stream (no-op, and no
-        // RNG draws, when fault injection is disabled).
-        let initial_faults = sim.model_mut().machine.ctx.draw_initial_faults();
-        for (at, class) in initial_faults {
-            sim.queue_mut().schedule_at(at, Ev::FaultInject(class));
-        }
-        // Arm the autoscaler's tick chain (no-op without an autoscaler).
-        if let Some(at) = sim.model().machine.ctx.first_scale_tick() {
-            sim.queue_mut().schedule_at(at, Ev::ScaleTick);
-        }
-        MachineRun { sim }
     }
 
-    /// [`MachineRun::start`] with Poisson arrivals at `rps_per_service`
-    /// for each service over `duration` (the [`Machine::run_workload`]
-    /// generator).
-    pub fn start_with(
-        cfg: &MachineConfig,
-        services: &[ServiceSpec],
-        rps_per_service: f64,
-        duration: SimDuration,
-        seed: u64,
-        observe: F,
-    ) -> Self {
-        let timing = {
-            let mut t = accelflow_accel::timing::ServiceTimeModel::calibrated(cfg.arch.core_clock);
-            t.set_speedup_scale(cfg.speedup_scale);
-            t
-        };
-        let lib = accelflow_trace::templates::TraceLibrary::standard();
-        let arrivals = crate::arrivals::poisson_arrivals(
-            services,
-            &lib,
-            &timing,
-            rps_per_service,
-            duration,
-            seed,
-        );
-        Self::start(cfg, services, arrivals, duration, seed, observe)
-    }
-
-    /// Reopens a run from a snapshot taken by [`MachineRun::snapshot`]
-    /// (or [`Machine::snapshot`]). The restored run continues exactly
-    /// where the saved one stood; extend it with
-    /// [`MachineRun::append_arrivals`] for warm-started sweeps.
+    /// Reopens a run from a snapshot taken by [`MachineRun::snapshot`],
+    /// rebuilding the machine from `cfg` + `services`. The restored run
+    /// continues exactly where the saved one stood; extend it with
+    /// [`MachineRun::append_arrivals`] for warm-started sweeps. Refuses
+    /// snapshots whose header magic, schema version, or configuration
+    /// hash does not match.
     pub fn restore(
         cfg: &MachineConfig,
         services: &[ServiceSpec],
         bytes: &[u8],
         observe: F,
     ) -> Result<Self, SnapshotError> {
-        let names: Vec<String> = services.iter().map(|s| s.name.clone()).collect();
-        let (machine, queue) = Machine::restore(cfg, &names, bytes)?;
+        let names = service_names(services);
+        let mut r = SnapReader::new(bytes);
+        check_header(&mut r, SNAPSHOT_MAGIC, config_hash(cfg, &names))?;
+        let machine = Machine::restore_dynamic(cfg, &names, &mut r)?;
+        let queue = EventQueue::load_snapshot(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} trailing bytes after the event queue",
+                bytes.len() - r.position()
+            )));
+        }
         Ok(MachineRun {
-            sim: Simulation::from_parts(ObservedMachine { machine, observe }, queue),
+            machine,
+            queue,
+            observe,
         })
     }
 
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.queue.now()
     }
 
     /// The arrival horizon (measurement window end; excludes drain).
     pub fn end(&self) -> SimTime {
-        self.sim.model().machine.ctx.end
+        self.machine.ctx.end
     }
 
     /// Delivers every event strictly before `t`.
     pub fn run_to(&mut self, t: SimTime) {
-        self.sim.run_until(t);
+        let MachineRun {
+            machine,
+            queue,
+            observe,
+        } = self;
+        queue.run_until(t, |now, event, queue| {
+            observe(now, &event);
+            machine.handle_event(now, event, queue);
+        });
     }
 
     /// Takes a versioned snapshot of the machine and its pending
-    /// events. The run is not disturbed and may keep going.
+    /// events. The run is not disturbed and may keep going; the queue
+    /// is borrowed mutably because observing delivery order takes a
+    /// non-destructive drain (see [`EventQueue::save_snapshot`]).
     pub fn snapshot(&mut self) -> Vec<u8> {
-        let (model, queue) = self.sim.parts_mut();
-        model.machine.snapshot(queue)
+        let ctx = &self.machine.ctx;
+        let names: Vec<String> = ctx.stats.iter().map(|s| s.name.clone()).collect();
+        let mut w = SnapWriter::new();
+        write_header(&mut w, SNAPSHOT_MAGIC, config_hash(&ctx.cfg, &names));
+        ctx.save_dynamic(&mut w);
+        self.queue.save_snapshot(&mut w);
+        w.into_bytes()
     }
 
     /// Appends later arrivals to a (typically restored) run and extends
@@ -459,8 +398,7 @@ impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
     /// preloaded arrival chain already drained, a fresh admission chain
     /// is armed at the first appended arrival.
     pub fn append_arrivals(&mut self, tail: Vec<Arrival>, new_end: SimTime) {
-        let (model, queue) = self.sim.parts_mut();
-        let ctx = &mut model.machine.ctx;
+        let ctx = &mut self.machine.ctx;
         ctx.end = ctx.end.max(new_end);
         if tail.is_empty() {
             return;
@@ -488,20 +426,17 @@ impl<F: FnMut(SimTime, &Ev)> MachineRun<F> {
         // one delivers; if it already ran dry, re-arm it at the first
         // appended arrival.
         if chain_dead {
-            queue.schedule_at(first_at, Ev::Arrive(next_idx));
+            self.queue.schedule_at(first_at, Ev::Arrive(next_idx));
         }
     }
 
     /// Runs through the drain window past the horizon and extracts the
     /// report.
     pub fn finish(mut self) -> RunReport {
-        let drain = self.sim.model().machine.ctx.end + DRAIN_MARGIN;
-        self.sim.run_until(drain);
-        let now = self.sim.now();
-        let end = self.sim.model().machine.ctx.end;
-        let clamped = self.sim.queue_mut().clamped();
-        let mut report = self.sim.into_model().machine.ctx.into_report(now, end);
-        report.totals.clamped_events = clamped;
+        let end = self.end();
+        self.run_to(end + DRAIN_MARGIN);
+        let mut report = self.machine.ctx.into_report(self.queue.now(), end);
+        report.totals.clamped_events = self.queue.clamped();
         report
     }
 }

@@ -2,7 +2,7 @@
 //! instance scaling, addressing, and accounting invariants.
 
 use super::*;
-use accelflow_sim::engine::Simulation;
+use accelflow_sim::engine::EventQueue;
 
 mod runs {
     use super::*;
@@ -511,13 +511,12 @@ mod resilience_tests {
         cfg.warmup = SimDuration::ZERO;
         cfg.audit = true;
         let end = SimTime::ZERO + SimDuration::from_millis(10);
-        let machine = Machine::new(cfg, vec!["StaleTimer".into()], arrivals, end, 3);
-        let mut sim = Simulation::new(machine);
-        let first = sim.model().ctx.arrivals.last().expect("arrival").at;
-        sim.queue_mut().schedule_at(first, Ev::Arrive(0));
-        // The spurious timer: arm (step 0, par 0) is the fast T1 call,
-        // long done by 2 ms; arm 1's response arrives at ~5 ms.
-        sim.queue_mut().schedule_at(
+        let mut machine = Machine::new(cfg, vec!["StaleTimer".into()], arrivals, end, 3);
+        let mut queue = EventQueue::with_capacity(0);
+        machine.arm(&mut queue); // the first arrival
+                                 // The spurious timer: arm (step 0, par 0) is the fast T1 call,
+                                 // long done by 2 ms; arm 1's response arrives at ~5 ms.
+        queue.schedule_at(
             SimTime::ZERO + SimDuration::from_millis(2),
             Ev::Timeout {
                 req: 0,
@@ -525,9 +524,11 @@ mod resilience_tests {
                 par: 0,
             },
         );
-        sim.run_until(SimTime::ZERO + SimDuration::from_millis(40));
-        let now = sim.now();
-        let r = sim.into_model().ctx.into_report(now, end);
+        queue.run_until(
+            SimTime::ZERO + SimDuration::from_millis(40),
+            |now, ev, q| machine.handle_event(now, ev, q),
+        );
+        let r = machine.ctx.into_report(queue.now(), end);
         assert_eq!(r.totals.tcp_timeouts, 0, "stale timer must not count");
         assert_eq!(r.completed(), 1, "the request must still complete");
         assert_eq!(r.per_service[0].errors, 0);
@@ -877,12 +878,13 @@ mod slab_state {
         let mut cfg = MachineConfig::new(Policy::AccelFlow);
         cfg.warmup = SimDuration::ZERO;
         let end = SimTime::ZERO + window;
-        let machine = Machine::new(cfg, vec!["Simple".into()], arrivals, end, 7);
-        let mut sim = Simulation::new(machine);
-        let first = sim.model().ctx.arrivals.last().expect("arrival").at;
-        sim.queue_mut().schedule_at(first, Ev::Arrive(0));
-        sim.run_until(end + SimDuration::from_millis(30));
-        let ctx = &sim.model().ctx;
+        let mut machine = Machine::new(cfg, vec!["Simple".into()], arrivals, end, 7);
+        let mut queue = EventQueue::with_capacity(0);
+        machine.arm(&mut queue); // the first arrival
+        queue.run_until(end + SimDuration::from_millis(30), |now, ev, q| {
+            machine.handle_event(now, ev, q)
+        });
+        let ctx = &machine.ctx;
         assert_eq!(ctx.requests.len(), 0, "every request slot freed");
         assert!(
             ctx.requests.capacity_used() < n,

@@ -9,8 +9,10 @@
 //! on must not perturb any node's stream (health ticks ride the outer
 //! queue only).
 //!
-//! The fixture is `golden_events.rs`'s nominal run (`common/mod.rs`),
-//! and the bare-machine side re-asserts that suite's pinned hashes, so
+//! The fixtures are `golden_events.rs`'s nominal and fault runs
+//! (`common/mod.rs`) plus the nominal run under a reactive autoscaler,
+//! so the fault-stream and `ScaleTick` arming of both sides is compared
+//! too. The bare-machine side re-asserts that suite's pinned hashes, so
 //! these tests chain the cluster back to the machine goldens.
 //! A four-node fleet hash per balancer pins placement itself; recapture
 //! it (only for a deliberate model change) with:
@@ -23,12 +25,13 @@ mod common;
 
 use accelflow_core::cluster::{BalancerKind, Cluster, ClusterConfig, NodeLink};
 use accelflow_core::policy::Policy;
-use accelflow_core::{Arrival, FaultClass, FaultConfig};
+use accelflow_core::{Arrival, AutoscalerConfig, FaultClass, FaultConfig};
 use accelflow_sim::time::SimDuration;
 
-use common::{arrivals, fleet_hash, fnv1a, nominal, nominal_cfg, services, FNV_OFFSET};
+use common::{
+    arrivals, fault, fleet_hash, fnv1a, nominal, nominal_cfg, services, Fixture, FNV_OFFSET,
+};
 
-const MILLIS: u64 = 30;
 const RPS: f64 = 6_000.0;
 const SEED: u64 = 11;
 
@@ -37,20 +40,31 @@ fn machine_hash(policy: Policy) -> (u64, u64) {
     nominal(policy).hash(|_| true)
 }
 
-/// One-node zero-link cluster stream hash over the same fixture. Node
-/// ids are omitted from the rendering (they are all 0 here) so the
-/// lines are comparable to the bare machine's byte for byte.
-fn cluster_hash(policy: Policy, tweak: impl FnOnce(&mut ClusterConfig)) -> (u64, u64) {
-    cluster_hash_arrivals(policy, arrivals(RPS, MILLIS, SEED), tweak)
+/// The nominal run under a reactive autoscaler over two instances per
+/// kind, so its `ScaleTick` chain lights and darkens stations.
+fn autoscaled(policy: Policy) -> Fixture {
+    let mut f = nominal(policy);
+    f.cfg.instances_per_accel = 2;
+    f.cfg.control.autoscaler = Some(AutoscalerConfig::reactive());
+    f
 }
 
-/// [`cluster_hash`] over a caller-supplied arrival list.
+/// One-node zero-link cluster stream hash over the nominal fixture.
+/// Node ids are omitted from the rendering (they are all 0 here) so
+/// the lines are comparable to the bare machine's byte for byte.
+fn cluster_hash(policy: Policy, tweak: impl FnOnce(&mut ClusterConfig)) -> (u64, u64) {
+    let f = nominal(policy);
+    cluster_hash_arrivals(&f, f.arrivals(), tweak)
+}
+
+/// [`cluster_hash`] over fixture `f`'s node config, horizon and seed,
+/// with a caller-supplied arrival list.
 fn cluster_hash_arrivals(
-    policy: Policy,
+    f: &Fixture,
     list: Vec<Arrival>,
     tweak: impl FnOnce(&mut ClusterConfig),
 ) -> (u64, u64) {
-    let mut cfg = ClusterConfig::new(1, nominal_cfg(policy));
+    let mut cfg = ClusterConfig::new(1, f.cfg.clone());
     cfg.link = NodeLink::zero();
     tweak(&mut cfg);
     let mut hash = FNV_OFFSET;
@@ -59,8 +73,8 @@ fn cluster_hash_arrivals(
         &cfg,
         &services(),
         list,
-        SimDuration::from_millis(MILLIS),
-        SEED,
+        SimDuration::from_millis(f.millis),
+        f.seed,
         |now, node, ev| {
             assert_eq!(node, 0);
             events += 1;
@@ -72,35 +86,45 @@ fn cluster_hash_arrivals(
     (hash, events)
 }
 
-/// Policies spanning every orchestration family, with the nominal
-/// hashes pinned by golden_events.rs — re-asserted here so the
-/// differential chains back to the goldens rather than to
+/// Policies spanning every orchestration family, with the nominal and
+/// fault stream hashes pinned by golden_events.rs — re-asserted here
+/// so the differential chains back to the goldens rather than to
 /// whatever the machine currently does.
-const PINNED: &[(Policy, u64)] = &[
-    (Policy::AccelFlow, 0xe1f4fffd88da4e56),
-    (Policy::Relief, 0xa00641861bd8bf8e),
-    (Policy::NonAcc, 0x010792f6d58620f1),
-    (Policy::CpuCentric, 0xc33673a317421350),
+const PINNED: &[(Policy, u64, u64)] = &[
+    (Policy::AccelFlow, 0xe1f4fffd88da4e56, 0xdd1e2c9a4cd6d662),
+    (Policy::Relief, 0xa00641861bd8bf8e, 0x6c65cf0b5bbb7bda),
+    (Policy::NonAcc, 0x010792f6d58620f1, 0x369b8bf766b536d2),
+    (Policy::CpuCentric, 0xc33673a317421350, 0x473fc2084f1ac786),
 ];
 
 #[test]
 fn one_node_zero_link_cluster_matches_bare_machine_for_every_balancer() {
-    for &(policy, golden) in PINNED {
-        let (bare, bare_events) = machine_hash(policy);
-        assert_eq!(
-            bare, golden,
-            "{policy}: bare machine drifted from the golden stream"
-        );
-        for kind in BalancerKind::ALL {
-            let (clustered, cluster_events) = cluster_hash(policy, |cfg| cfg.balancer = kind);
-            assert_eq!(
-                cluster_events, bare_events,
-                "{policy}/{kind}: event counts diverged"
-            );
-            assert_eq!(
-                clustered, bare,
-                "{policy}/{kind}: one-node cluster stream is not byte-identical"
-            );
+    for &(policy, nominal_golden, fault_golden) in PINNED {
+        let runs = [
+            ("nominal", nominal(policy), Some(nominal_golden)),
+            ("fault", fault(policy), Some(fault_golden)),
+            ("autoscaled", autoscaled(policy), None),
+        ];
+        for (name, fixture, golden) in runs {
+            let (bare, bare_events) = fixture.hash(|_| true);
+            if let Some(golden) = golden {
+                assert_eq!(
+                    bare, golden,
+                    "{policy}/{name}: bare machine drifted from the golden stream"
+                );
+            }
+            for kind in BalancerKind::ALL {
+                let (clustered, cluster_events) =
+                    cluster_hash_arrivals(&fixture, fixture.arrivals(), |cfg| cfg.balancer = kind);
+                assert_eq!(
+                    cluster_events, bare_events,
+                    "{policy}/{name}/{kind}: event counts diverged"
+                );
+                assert_eq!(
+                    clustered, bare,
+                    "{policy}/{name}/{kind}: one-node cluster stream is not byte-identical"
+                );
+            }
         }
     }
 }
@@ -154,7 +178,7 @@ fn same_instant_arrivals_keep_the_bare_machine_order() {
         tied[i].at = tied[i - 1].at;
     }
     let (bare, bare_events) = fixture.hash_arrivals(tied.clone(), |_| true);
-    let (clustered, cluster_events) = cluster_hash_arrivals(Policy::AccelFlow, tied, |_| {});
+    let (clustered, cluster_events) = cluster_hash_arrivals(&fixture, tied, |_| {});
     assert_eq!(cluster_events, bare_events);
     assert_eq!(clustered, bare, "tied arrivals reordered in the cluster");
 }

@@ -1,61 +1,46 @@
 //! The discrete-event loop.
 //!
-//! A simulation is a [`Model`] (all mutable state of the system under
-//! study) plus an [`EventQueue`] of timestamped events of the model's
-//! choosing. The engine pops the earliest event, hands it to the model,
-//! and the model schedules follow-on events. Events with equal
-//! timestamps are delivered in the order they were scheduled, which
-//! makes every run bit-for-bit reproducible.
+//! A simulation is the mutable state of the system under study plus
+//! an [`EventQueue`] of timestamped events of its choosing.
+//! [`EventQueue::run_until`] pops the earliest event and hands it to a
+//! handler closure, which schedules follow-on events on the queue it
+//! is passed. Events with equal timestamps are delivered in the order
+//! they were scheduled, which makes every run bit-for-bit reproducible.
 //!
-//! A model that counts down, rescheduling itself until it hits zero:
+//! A countdown that reschedules itself until it hits zero:
 //!
 //! ```
-//! use accelflow_sim::engine::{EventQueue, Model, Simulation};
+//! use accelflow_sim::engine::EventQueue;
 //! use accelflow_sim::time::{SimDuration, SimTime};
 //!
-//! struct Countdown {
-//!     remaining: u32,
-//! }
-//!
-//! impl Model for Countdown {
-//!     type Event = ();
-//!     fn handle(&mut self, _now: SimTime, _ev: (), queue: &mut EventQueue<()>) {
-//!         self.remaining -= 1;
-//!         if self.remaining > 0 {
-//!             queue.schedule(SimDuration::from_micros(1), ());
-//!         }
+//! fn tick(remaining: &mut u32, queue: &mut EventQueue<()>) {
+//!     *remaining -= 1;
+//!     if *remaining > 0 {
+//!         queue.schedule(SimDuration::from_micros(1), ());
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(Countdown { remaining: 3 });
-//! sim.queue_mut().schedule(SimDuration::ZERO, ());
+//! let mut remaining = 3;
+//! let mut queue = EventQueue::with_capacity(1);
+//! queue.schedule(SimDuration::ZERO, ());
 //! // The deadline is exclusive: only the event at t=0 is delivered,
 //! // the one sitting exactly at t=1µs stays queued.
-//! sim.run_until(SimTime::ZERO + SimDuration::from_micros(1));
-//! assert_eq!(sim.model().remaining, 2);
+//! queue.run_until(SimTime::ZERO + SimDuration::from_micros(1), |_, (), q| {
+//!     tick(&mut remaining, q)
+//! });
+//! assert_eq!(remaining, 2);
 //! // Resume to completion; the last event lands at t=2µs.
-//! sim.run_until(SimTime::ZERO + SimDuration::from_millis(1));
-//! assert_eq!(sim.model().remaining, 0);
-//! assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_micros(2));
+//! queue.run_until(SimTime::ZERO + SimDuration::from_millis(1), |_, (), q| {
+//!     tick(&mut remaining, q)
+//! });
+//! assert_eq!(remaining, 0);
+//! assert_eq!(queue.now(), SimTime::ZERO + SimDuration::from_micros(2));
 //! ```
 
 use std::collections::VecDeque;
 
 use crate::keyheap::KeyHeap;
 use crate::time::{SimDuration, SimTime};
-
-/// A system being simulated.
-///
-/// Implementors own all mutable simulation state and define the event
-/// vocabulary. See the crate-level example.
-pub trait Model {
-    /// The event type this model understands.
-    type Event;
-
-    /// Handles one event at simulated time `now`, scheduling any
-    /// follow-on events on `queue`.
-    fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-}
 
 /// Where event handlers put follow-on events.
 ///
@@ -192,29 +177,52 @@ impl<E> EventQueue<E> {
         self.clamped
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, event) = match self.ready.pop_front() {
-            Some(event) => (self.ready_at, event),
-            None => {
-                // Batched delivery: the heap hands back the minimum event
-                // and stages the rest of its same-timestamp run (the
-                // single-event common case stages nothing).
-                let (at, event) = self.heap.pop_batch(&mut self.ready)?;
-                self.ready_at = SimTime::from_picos(at);
-                (self.ready_at, event)
-            }
+    /// Delivers every event before `deadline` to `handle`, in
+    /// `(time, insertion order)` order, passing the event's instant and
+    /// the queue for follow-ons. Stops when the queue is empty or the
+    /// next event is at or after `deadline`: events exactly at
+    /// `deadline` are *not* delivered, so consecutive calls partition
+    /// time cleanly.
+    pub fn run_until(&mut self, deadline: SimTime, mut handle: impl FnMut(SimTime, E, &mut Self)) {
+        let Some(last) = deadline.as_picos().checked_sub(1) else {
+            return;
         };
+        while let Some((at, event)) = self.pop_through(last) {
+            handle(at, event, self);
+        }
+    }
+
+    /// Takes the next event, wherever it is due.
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_through(u64::MAX)
+    }
+
+    /// Takes the next event if it is due at or before `last` (in
+    /// picoseconds) and advances the clock to it. One step both checks
+    /// the deadline and takes the event, so the delivery loop needs no
+    /// separate peek.
+    #[inline]
+    fn pop_through(&mut self, last: u64) -> Option<(SimTime, E)> {
+        let event = if self.ready.is_empty() {
+            if self.heap.peek_at()? > last {
+                return None;
+            }
+            // Batched delivery: the heap hands back the minimum event
+            // and stages the rest of its same-timestamp run (the
+            // single-event common case stages nothing).
+            let (at, event) = self.heap.pop_batch(&mut self.ready)?;
+            self.ready_at = SimTime::from_picos(at);
+            event
+        } else if self.ready_at.as_picos() <= last {
+            self.ready.pop_front()?
+        } else {
+            return None;
+        };
+        let at = self.ready_at;
         debug_assert!(at >= self.now, "event queue went backwards in time");
         self.now = at;
         self.delivered += 1;
         Some((at, event))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if !self.ready.is_empty() {
-            return Some(self.ready_at);
-        }
-        self.heap.peek_at().map(SimTime::from_picos)
     }
 }
 
@@ -293,160 +301,65 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
     }
 }
 
-/// A model plus its event queue: the runnable simulation.
-pub struct Simulation<M: Model> {
-    model: M,
-    queue: EventQueue<M::Event>,
-}
-
-impl<M: Model> Simulation<M> {
-    /// Creates a simulation around `model` with an empty event queue at
-    /// time zero. Seed initial events through [`Simulation::queue_mut`].
-    pub fn new(model: M) -> Self {
-        Simulation {
-            model,
-            queue: EventQueue::with_capacity(0),
-        }
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Shared access to the model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Exclusive access to the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// Exclusive access to the event queue (e.g. to seed initial
-    /// events).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<M::Event> {
-        &mut self.queue
-    }
-
-    /// Simultaneous exclusive access to both halves — for operations
-    /// that read or mutate the model and the queue together, like
-    /// taking a checkpoint (the model serializes itself, then the
-    /// queue appends its pending events).
-    pub fn parts_mut(&mut self) -> (&mut M, &mut EventQueue<M::Event>) {
-        (&mut self.model, &mut self.queue)
-    }
-
-    /// Consumes the simulation, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
-    /// Reassembles a simulation from a model and a (possibly restored)
-    /// event queue — the checkpoint/restore entry point: load both
-    /// halves from a snapshot, then resume with [`Simulation::run_until`].
-    pub fn from_parts(model: M, queue: EventQueue<M::Event>) -> Self {
-        Simulation { model, queue }
-    }
-
-    /// Delivers the next event, if any. Returns `false` when the queue
-    /// is empty.
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some((at, ev)) => {
-                self.model.handle(at, ev, &mut self.queue);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs until the event queue is empty.
-    ///
-    /// Beware: a model that always schedules follow-on events never
-    /// drains; use [`Simulation::run_until`] for open-loop workloads.
-    pub fn run(&mut self) {
-        while self.step() {}
-    }
-
-    /// Runs until the queue is empty or the next event is at or after
-    /// `deadline`. Events exactly at `deadline` are *not* delivered, so
-    /// consecutive `run_until` calls partition time cleanly.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= deadline {
-                break;
-            }
-            self.step();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Recorder {
-        log: Vec<(u64, u32)>,
-    }
+    /// A deadline no event reaches: runs to it drain the queue.
+    const FOREVER: SimTime = SimTime::from_picos(u64::MAX);
 
-    impl Model for Recorder {
-        type Event = u32;
-        fn handle(&mut self, now: SimTime, ev: u32, queue: &mut EventQueue<u32>) {
-            self.log.push((now.as_picos(), ev));
-            if ev == 1 {
-                // Chain two events at the same future instant; they must
-                // arrive in scheduling order.
-                queue.schedule(SimDuration::from_picos(10), 2);
-                queue.schedule(SimDuration::from_picos(10), 3);
-            }
+    /// Logs every delivery; event 1 chains two events at the same
+    /// future instant, which must arrive in scheduling order.
+    fn record(now: SimTime, ev: u32, queue: &mut EventQueue<u32>, log: &mut Vec<(u64, u32)>) {
+        log.push((now.as_picos(), ev));
+        if ev == 1 {
+            queue.schedule(SimDuration::from_picos(10), 2);
+            queue.schedule(SimDuration::from_picos(10), 3);
         }
     }
 
     #[test]
     fn events_fire_in_time_then_fifo_order() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
-        sim.queue_mut().schedule(SimDuration::from_picos(5), 1);
-        sim.queue_mut().schedule(SimDuration::from_picos(1), 0);
-        sim.run();
-        assert_eq!(sim.model().log, vec![(1, 0), (5, 1), (15, 2), (15, 3)]);
+        let mut q = EventQueue::with_capacity(4);
+        q.schedule(SimDuration::from_picos(5), 1);
+        q.schedule(SimDuration::from_picos(1), 0);
+        let mut log = vec![];
+        q.run_until(FOREVER, |now, ev, q| record(now, ev, q, &mut log));
+        assert_eq!(log, vec![(1, 0), (5, 1), (15, 2), (15, 3)]);
     }
 
     #[test]
     fn run_until_excludes_deadline() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
+        let mut q = EventQueue::with_capacity(8);
         for i in 0..5 {
-            sim.queue_mut()
-                .schedule(SimDuration::from_picos(i * 10), 100 + i as u32);
+            q.schedule(SimDuration::from_picos(i * 10), 100 + i as u32);
         }
-        sim.run_until(SimTime::from_picos(20));
-        assert_eq!(sim.model().log.len(), 2); // events at 0 and 10 only
-        sim.run_until(SimTime::from_picos(100));
-        assert_eq!(sim.model().log.len(), 5);
-        assert_eq!(sim.queue_mut().delivered(), 5);
+        let mut log = vec![];
+        q.run_until(SimTime::from_picos(20), |now, ev, q| {
+            record(now, ev, q, &mut log)
+        });
+        assert_eq!(log.len(), 2); // events at 0 and 10 only
+        q.run_until(SimTime::from_picos(100), |now, ev, q| {
+            record(now, ev, q, &mut log)
+        });
+        assert_eq!(log.len(), 5);
+        assert_eq!(q.delivered(), 5);
     }
 
     #[test]
     fn scheduling_in_past_clamps_to_now() {
-        struct PastScheduler {
-            fired: Vec<u64>,
-        }
-        impl Model for PastScheduler {
-            type Event = bool;
-            fn handle(&mut self, now: SimTime, ev: bool, queue: &mut EventQueue<bool>) {
-                self.fired.push(now.as_picos());
-                if ev {
-                    queue.schedule_at(SimTime::from_picos(1), false); // in the past
-                }
+        let mut q = EventQueue::with_capacity(2);
+        q.schedule(SimDuration::from_picos(50), true);
+        let mut fired = vec![];
+        q.run_until(FOREVER, |now, ev, q| {
+            fired.push(now.as_picos());
+            if ev {
+                q.schedule_at(SimTime::from_picos(1), false); // in the past
             }
-        }
-        let mut sim = Simulation::new(PastScheduler { fired: vec![] });
-        sim.queue_mut().schedule(SimDuration::from_picos(50), true);
-        sim.run();
-        assert_eq!(sim.model().fired, vec![50, 50]);
+        });
+        assert_eq!(fired, vec![50, 50]);
         // The clamp is counted, not silent.
-        assert_eq!(sim.queue_mut().clamped(), 1);
+        assert_eq!(q.clamped(), 1);
     }
 
     #[test]
@@ -455,34 +368,24 @@ mod tests {
         // ahead of events already queued for `now`: the FIFO tie-break
         // orders by scheduling sequence, and the clamped event was
         // scheduled last.
-        struct Racer {
-            log: Vec<(u64, u32)>,
-        }
-        impl Model for Racer {
-            type Event = u32;
-            fn handle(&mut self, now: SimTime, ev: u32, queue: &mut EventQueue<u32>) {
-                self.log.push((now.as_picos(), ev));
-                if ev == 1 {
-                    queue.schedule(SimDuration::ZERO, 2); // same instant
-                    queue.schedule(SimDuration::ZERO, 3); // same instant
-                    queue.schedule_at(SimTime::from_picos(1), 4); // past → clamped
-                    queue.schedule_at(now, 5); // exactly now: legal, not a clamp
-                }
+        let mut q = EventQueue::with_capacity(8);
+        q.schedule(SimDuration::from_picos(50), 1);
+        let mut log = vec![];
+        q.run_until(FOREVER, |now, ev, q| {
+            log.push((now.as_picos(), ev));
+            if ev == 1 {
+                q.schedule(SimDuration::ZERO, 2); // same instant
+                q.schedule(SimDuration::ZERO, 3); // same instant
+                q.schedule_at(SimTime::from_picos(1), 4); // past → clamped
+                q.schedule_at(now, 5); // exactly now: legal, not a clamp
             }
-        }
-        let mut sim = Simulation::new(Racer { log: vec![] });
-        sim.queue_mut().schedule(SimDuration::from_picos(50), 1);
-        sim.run();
+        });
         assert_eq!(
-            sim.model().log,
+            log,
             vec![(50, 1), (50, 2), (50, 3), (50, 4), (50, 5)],
             "clamped event must run after already-queued same-time events"
         );
-        assert_eq!(
-            sim.queue_mut().clamped(),
-            1,
-            "only the past-time schedule clamps"
-        );
+        assert_eq!(q.clamped(), 1, "only the past-time schedule clamps");
     }
 
     #[test]
@@ -492,63 +395,45 @@ mod tests {
         // fast lane appends it to the staged batch, and it must fire
         // after the two events already staged (it has the higher seq),
         // never between or before them.
-        struct MidBatch {
-            log: Vec<u32>,
-        }
-        impl Model for MidBatch {
-            type Event = u32;
-            fn handle(&mut self, now: SimTime, ev: u32, queue: &mut EventQueue<u32>) {
-                self.log.push(ev);
-                if ev == 1 {
-                    queue.schedule_at(now, 4);
-                }
-            }
-        }
-        let mut sim = Simulation::new(MidBatch { log: vec![] });
+        let mut q = EventQueue::with_capacity(4);
         for ev in 1..=3 {
-            sim.queue_mut().schedule(SimDuration::from_picos(50), ev);
+            q.schedule(SimDuration::from_picos(50), ev);
         }
-        sim.run();
-        assert_eq!(sim.model().log, vec![1, 2, 3, 4]);
-        assert_eq!(sim.queue_mut().clamped(), 0, "at-now is not a clamp");
+        let mut log = vec![];
+        q.run_until(FOREVER, |now, ev, q| {
+            log.push(ev);
+            if ev == 1 {
+                q.schedule_at(now, 4);
+            }
+        });
+        assert_eq!(log, vec![1, 2, 3, 4]);
+        assert_eq!(q.clamped(), 0, "at-now is not a clamp");
     }
 
     #[test]
     fn clamp_counter_matches_observed_clamps() {
         // Every past-time schedule — and nothing else — bumps the
-        // counter, so it equals the number of clamps the model actually
-        // performed.
-        struct Mixed {
-            past_schedules: u64,
-            delivered: u64,
-        }
-        impl Model for Mixed {
-            type Event = u32;
-            fn handle(&mut self, now: SimTime, ev: u32, queue: &mut EventQueue<u32>) {
-                self.delivered += 1;
-                if ev < 3 {
-                    // One stale (past) schedule and one healthy one per
-                    // seed event.
-                    queue.schedule_at(SimTime::from_picos(now.as_picos() / 2), 10 + ev);
-                    self.past_schedules += 1;
-                    queue.schedule(SimDuration::from_picos(7), 20 + ev);
-                }
-            }
-        }
-        let mut sim = Simulation::new(Mixed {
-            past_schedules: 0,
-            delivered: 0,
-        });
+        // counter, so it equals the number of clamps the handler
+        // actually performed.
+        let mut q = EventQueue::with_capacity(16);
         for i in 0..3u64 {
-            sim.queue_mut()
-                .schedule(SimDuration::from_picos(10 + i * 10), i as u32);
+            q.schedule(SimDuration::from_picos(10 + i * 10), i as u32);
         }
-        sim.run();
-        let m = sim.model().past_schedules;
-        assert_eq!(m, 3);
-        assert_eq!(sim.queue_mut().clamped(), m, "counter == observed clamps");
-        assert_eq!(sim.model().delivered, 9, "no clamped event was lost");
-        assert_eq!(sim.queue_mut().delivered(), 9);
+        let (mut past_schedules, mut delivered) = (0u64, 0u64);
+        q.run_until(FOREVER, |now, ev, q| {
+            delivered += 1;
+            if ev < 3 {
+                // One stale (past) schedule and one healthy one per
+                // seed event.
+                q.schedule_at(SimTime::from_picos(now.as_picos() / 2), 10 + ev);
+                past_schedules += 1;
+                q.schedule(SimDuration::from_picos(7), 20 + ev);
+            }
+        });
+        assert_eq!(past_schedules, 3);
+        assert_eq!(q.clamped(), past_schedules, "counter == observed clamps");
+        assert_eq!(delivered, 9, "no clamped event was lost");
+        assert_eq!(q.delivered(), 9);
     }
 
     #[test]
@@ -579,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn save_snapshot_keeps_the_clock_and_reanchors_the_calendar() {
+    fn save_snapshot_keeps_the_clock_and_later_schedules_fire_in_order() {
         use crate::snapshot::SnapWriter;
         let mut q = queue_at_100();
         q.schedule(SimDuration::from_picos(50), 2);
@@ -606,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_reanchors_calendar_on_restored_clock() {
+    fn at_now_schedule_after_restore_joins_the_restored_batch() {
         use crate::snapshot::{SnapReader, SnapWriter};
         // Snapshot *mid-burst*: three events share an instant deep into
         // the run; the first has been delivered, two are still staged.
@@ -680,9 +565,12 @@ mod tests {
 
     #[test]
     fn empty_queue_reports() {
-        let mut sim: Simulation<Recorder> = Simulation::new(Recorder { log: vec![] });
-        assert!(sim.queue_mut().is_empty());
-        assert_eq!(sim.queue_mut().len(), 0);
-        assert!(!sim.step());
+        let mut q: EventQueue<u32> = EventQueue::with_capacity(0);
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        q.run_until(FOREVER, |_, _, _| {
+            panic!("an empty queue delivered an event")
+        });
+        assert_eq!(q.delivered(), 0);
     }
 }

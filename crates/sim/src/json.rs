@@ -40,14 +40,6 @@ impl Value {
         }
     }
 
-    /// This value as a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// This value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -9,9 +9,10 @@
 //!
 //! - [`time`] — picosecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]) and clock-frequency conversions ([`Frequency`]).
-//! - [`engine`] — the event loop: a [`Model`] handles its own event type
-//!   and schedules future events through an [`EventQueue`]. Ties in time
-//!   are broken by insertion order, so runs are exactly reproducible.
+//! - [`engine`] — the event loop: an [`EventQueue`] delivers timestamped
+//!   events to a handler closure, which schedules follow-ons on the same
+//!   queue. Ties in time are broken by insertion order, so runs are
+//!   exactly reproducible.
 //! - [`rng`] — a seeded random-number source and the distributions used
 //!   by the workload generators (exponential, log-normal, bounded
 //!   Pareto, empirical).
@@ -21,7 +22,7 @@
 //!   (DMA engines, processing elements, CPU cores).
 //! - [`snapshot`] — versioned checkpoint serialization: the
 //!   [`Snapshot`](snapshot::Snapshot) trait and wire format behind
-//!   `Machine::{snapshot,restore}` (see `docs/CHECKPOINT.md`).
+//!   `MachineRun::{snapshot,restore}` (see `docs/CHECKPOINT.md`).
 //! - [`json`] — a small JSON reader/writer, shared by workload
 //!   configuration files and Chrome-trace validation.
 //! - [`telemetry`] — structured observability: component-keyed event
@@ -31,32 +32,25 @@
 //! # Example
 //!
 //! ```
-//! use accelflow_sim::engine::{EventQueue, Model, Simulation};
+//! use accelflow_sim::engine::EventQueue;
 //! use accelflow_sim::time::{SimDuration, SimTime};
-//!
-//! struct Pinger {
-//!     bounces: u32,
-//! }
 //!
 //! enum Ev {
 //!     Ping,
 //! }
 //!
-//! impl Model for Pinger {
-//!     type Event = Ev;
-//!     fn handle(&mut self, _now: SimTime, _ev: Ev, queue: &mut EventQueue<Ev>) {
-//!         self.bounces += 1;
-//!         if self.bounces < 10 {
-//!             queue.schedule(SimDuration::from_nanos(5), Ev::Ping);
-//!         }
+//! let mut bounces = 0;
+//! let mut queue = EventQueue::with_capacity(1);
+//! queue.schedule(SimDuration::ZERO, Ev::Ping);
+//! let forever = SimTime::from_picos(u64::MAX);
+//! queue.run_until(forever, |_now, Ev::Ping, queue| {
+//!     bounces += 1;
+//!     if bounces < 10 {
+//!         queue.schedule(SimDuration::from_nanos(5), Ev::Ping);
 //!     }
-//! }
-//!
-//! let mut sim = Simulation::new(Pinger { bounces: 0 });
-//! sim.queue_mut().schedule(SimDuration::ZERO, Ev::Ping);
-//! sim.run();
-//! assert_eq!(sim.model().bounces, 10);
-//! assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_nanos(45));
+//! });
+//! assert_eq!(bounces, 10);
+//! assert_eq!(queue.now(), SimTime::ZERO + SimDuration::from_nanos(45));
 //! ```
 
 #![warn(missing_docs)]
@@ -72,7 +66,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 
-pub use engine::{EventQueue, Model, Simulation};
+pub use engine::EventQueue;
 pub use rng::SimRng;
 pub use stats::Histogram;
 pub use telemetry::{CompId, CompKind, Record, RecordKind, Sampler, Telemetry, TelemetryReport};

@@ -560,11 +560,6 @@ impl TimeSeries {
         self.data.len()
     }
 
-    /// The bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
-    }
-
     /// Records a sample at instant `at`. Samples past the configured
     /// span are folded into the last bucket and counted in
     /// [`clamped`](TimeSeries::clamped).

@@ -275,11 +275,6 @@ impl Frequency {
         Self::from_hz(ghz * 1e9)
     }
 
-    /// The frequency in hertz.
-    pub fn as_hz(self) -> f64 {
-        self.hz
-    }
-
     /// The frequency in gigahertz.
     pub fn as_ghz(self) -> f64 {
         self.hz / 1e9

@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use accelflow_sim::engine::{EventQueue, Model, Simulation};
+use accelflow_sim::engine::EventQueue;
 use accelflow_sim::time::{SimDuration, SimTime};
 
 /// Deliveries per repetition — enough to swamp timer granularity in
@@ -38,31 +38,25 @@ const FLOOR: f64 = 0.5;
 /// Best-of repetitions, filtering scheduler noise.
 const REPS: usize = 3;
 
-/// The churn model: every delivery schedules one follow-on at a
-/// staggered nanosecond delay.
-struct Churn {
-    left: u64,
-}
+/// A deadline no event reaches: runs to it drain the queue.
+const FOREVER: SimTime = SimTime::from_picos(u64::MAX);
 
-impl Model for Churn {
-    type Event = u32;
-    fn handle(&mut self, _now: SimTime, ev: u32, queue: &mut EventQueue<u32>) {
-        if self.left > 0 {
-            self.left -= 1;
+/// Deliveries through the real engine: every delivery schedules one
+/// follow-on at a staggered nanosecond delay.
+fn engine_churn() -> u64 {
+    let mut queue = EventQueue::with_capacity(0);
+    queue.schedule(SimDuration::ZERO, 1u32);
+    let mut left = OPS;
+    queue.run_until(FOREVER, |_, ev, queue| {
+        if left > 0 {
+            left -= 1;
             queue.schedule(
                 SimDuration::from_nanos(u64::from(ev % 97) + 1),
                 ev.wrapping_add(1),
             );
         }
-    }
-}
-
-/// Deliveries through the real engine.
-fn engine_churn() -> u64 {
-    let mut sim = Simulation::new(Churn { left: OPS });
-    sim.queue_mut().schedule(SimDuration::ZERO, 1);
-    sim.run();
-    sim.queue_mut().delivered()
+    });
+    queue.delivered()
 }
 
 /// Deliveries through an inline `BinaryHeap` kernel driving the
@@ -103,23 +97,14 @@ fn population_times() -> impl Iterator<Item = u64> {
     })
 }
 
-/// A model that only counts deliveries.
-struct Drain;
-
-impl Model for Drain {
-    type Event = u32;
-    fn handle(&mut self, _now: SimTime, _ev: u32, _queue: &mut EventQueue<u32>) {}
-}
-
 /// Deliveries through the real engine: pre-fill, then drain.
 fn engine_population() -> u64 {
-    let mut sim = Simulation::new(Drain);
-    let queue = sim.queue_mut();
+    let mut queue = EventQueue::with_capacity(0);
     for (i, at) in population_times().enumerate() {
         queue.schedule_at(SimTime::from_picos(at), i as u32);
     }
-    sim.run();
-    sim.queue_mut().delivered()
+    queue.run_until(FOREVER, |_, _, _| {});
+    queue.delivered()
 }
 
 /// Deliveries through an inline `BinaryHeap` kernel over the same
@@ -170,12 +155,12 @@ fn assert_keeps_pace(shape: &str, expect: u64, engine: fn() -> u64, heap: fn() -
 }
 
 #[test]
-fn calendar_churn_keeps_pace_with_the_binary_heap() {
+fn churn_keeps_pace_with_the_binary_heap() {
     assert_keeps_pace("churn", OPS + 1, engine_churn, heap_churn);
 }
 
 #[test]
-fn calendar_large_population_keeps_pace_with_the_binary_heap() {
+fn large_population_keeps_pace_with_the_binary_heap() {
     assert_keeps_pace(
         "large-population",
         POPULATION,

@@ -20,7 +20,7 @@
 //! - [`packed`] — the compact binary (nibble-stream) encoding; simple
 //!   traces fit the paper's 8-byte budget (4 bits per accelerator).
 //! - [`snapshot`] — checkpoint serialization of the trace IR (the
-//!   `Snapshot` impls behind `Machine::{snapshot,restore}`; see
+//!   `Snapshot` impls behind `MachineRun::{snapshot,restore}`; see
 //!   `docs/CHECKPOINT.md`).
 //! - [`builder`] — the paper's programming API: `seq` / `branch` /
 //!   `trans` (Listing 1).
