@@ -8,7 +8,8 @@ use accelflow_bench::paper;
 use accelflow_bench::table::{pct, Table};
 use accelflow_core::policy::Policy;
 use accelflow_trace::templates::TraceLibrary;
-use accelflow_workloads::{arrivals, serverless};
+use accelflow_workloads::arrivals::{bursty_arrivals, BurstyProfile};
+use accelflow_workloads::serverless;
 
 fn main() {
     let functions = serverless::all();
@@ -24,15 +25,17 @@ fn main() {
     // (most production functions run for milliseconds or less), so the
     // short functions get proportionally higher rates.
     let weights = [10.0, 1.5, 0.4, 0.8, 5.0]; // ImgRot, MLServe, VidProc, DocConv, ApiAgg
+    let azure = BurstyProfile::azure_like();
     let mut arr = Vec::new();
     for (i, (f, w)) in functions.iter().zip(weights).enumerate() {
-        let sub = arrivals::azure_like_arrivals(
+        let sub = bursty_arrivals(
             std::slice::from_ref(f),
             &lib,
             &timing,
             scale.rps * w,
             scale.duration,
             scale.seed + i as u64,
+            &azure,
         );
         arr.extend(sub.into_iter().map(|mut a| {
             a.service = accelflow_core::request::ServiceId(i);

@@ -8,7 +8,6 @@
 //!   error at any magnitude, O(1) record, and exact count/sum.
 //! - [`BusyTracker`] — accumulates busy time of a server to report
 //!   utilization.
-//! - [`Counter`] — a named event counter.
 
 use std::fmt;
 
@@ -251,43 +250,6 @@ impl BusyTracker {
     }
 }
 
-/// A named event counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// This counter as a fraction of `denom` (0.0 if `denom` is zero).
-    pub fn rate_per(&self, denom: u64) -> f64 {
-        if denom == 0 {
-            0.0
-        } else {
-            self.value as f64 / denom as f64
-        }
-    }
-}
-
 crate::impl_snapshot! { struct Histogram { buckets, count, sum, min, max } }
 
 #[cfg(test)]
@@ -488,16 +450,6 @@ mod tests {
         assert!((b.utilization(now) - 0.25).abs() < 1e-12);
         assert_eq!(b.utilization(SimTime::ZERO), 0.0);
         assert_eq!(b.busy(), SimDuration::from_micros(50));
-    }
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert!((c.rate_per(100) - 0.1).abs() < 1e-12);
-        assert_eq!(c.rate_per(0), 0.0);
     }
 
     #[test]

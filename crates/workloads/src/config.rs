@@ -66,6 +66,22 @@ fn num(v: &Value, key: &str, default: f64) -> Result<f64, ConfigError> {
     }
 }
 
+/// A log-normal median: sampling asserts it is positive.
+fn median(v: &Value, key: &str, default: f64) -> Result<f64, ConfigError> {
+    match num(v, key, default)? {
+        m if m > 0.0 => Ok(m),
+        m => shape(format!("'{key}' must be positive, not {m}")),
+    }
+}
+
+/// A log-normal sigma: sampling asserts it is non-negative.
+fn sigma(v: &Value, default: f64) -> Result<f64, ConfigError> {
+    match num(v, "sigma", default)? {
+        s if s >= 0.0 => Ok(s),
+        s => shape(format!("'sigma' must be non-negative, not {s}")),
+    }
+}
+
 /// Parses a template name like `"T9"`.
 fn template(name: &str) -> Result<TemplateId, ConfigError> {
     TemplateId::ALL
@@ -82,11 +98,12 @@ fn call_spec(v: &Value) -> Result<CallSpec, ConfigError> {
     let mut spec = CallSpec::new(template(name)?);
     spec.cmp_variant_prob = num(v, "cmp_prob", spec.cmp_variant_prob)?;
     if let Some(p) = v.get("payload") {
-        spec.payload = SizeDist::new(
-            num(p, "median", 2048.0)?,
-            num(p, "sigma", 0.7)?,
-            num(p, "max", 32.0 * 1024.0)? as u64,
-        );
+        // Sizes are clamped to `[64, max]` bytes.
+        let max = num(p, "max", 32.0 * 1024.0)? as u64;
+        if max < 64 {
+            return shape(format!("payload 'max' must be at least 64, not {max}"));
+        }
+        spec.payload = SizeDist::new(median(p, "median", 2048.0)?, sigma(p, 0.7)?, max);
     }
     if let Some(f) = v.get("flags") {
         spec.flags = FlagProbs {
@@ -100,7 +117,7 @@ fn call_spec(v: &Value) -> Result<CallSpec, ConfigError> {
     if let Some(e) = v.get("external") {
         spec.external = ExternalSpec::new(
             SimDuration::from_micros_f64(num(e, "median_us", 20.0)?),
-            num(e, "sigma", 0.4)?,
+            sigma(e, 0.4)?,
         );
     }
     Ok(spec)
@@ -109,8 +126,8 @@ fn call_spec(v: &Value) -> Result<CallSpec, ConfigError> {
 fn stage(v: &Value) -> Result<StageSpec, ConfigError> {
     if let Some(cpu) = v.get("cpu") {
         return Ok(StageSpec::Cpu(CyclesDist::new(
-            num(cpu, "median_cycles", 50_000.0)?,
-            num(cpu, "sigma", 0.35)?,
+            median(cpu, "median_cycles", 50_000.0)?,
+            sigma(cpu, 0.35)?,
         )));
     }
     if let Some(call) = v.get("call") {
@@ -329,6 +346,52 @@ mod tests {
         let err = load_services(r#"[{"name": "X", "stages": [{"dance": {}}]}]"#).unwrap_err();
         assert!(err.to_string().contains("one of"));
         assert!(matches!(load_services("[oops"), Err(ConfigError::Json(_))));
+    }
+
+    /// Loads one service whose only stage is `stage`.
+    fn load_stage(stage: &str) -> Result<Vec<ServiceSpec>, ConfigError> {
+        load_services(&format!(r#"[{{"name": "X", "stages": [{stage}]}}]"#))
+    }
+
+    /// A call stage of `template` with extra `fields`.
+    fn call(template: &str, fields: &str) -> String {
+        format!(r#"{{"call": {{"template": "{template}", {fields}}}}}"#)
+    }
+
+    /// Sampling `stage` would panic, so loading it is a shape error
+    /// naming `field`.
+    fn assert_rejected(stage: &str, field: &str) {
+        match load_stage(stage) {
+            Err(ConfigError::Shape(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{stage}: expected a shape error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn payload_max_below_the_size_floor_is_rejected() {
+        assert_rejected(&call("T1", r#""payload": {"max": 63}"#), "max");
+        assert!(load_stage(&call("T1", r#""payload": {"max": 64}"#)).is_ok());
+    }
+
+    #[test]
+    fn non_positive_payload_median_is_rejected() {
+        assert_rejected(&call("T1", r#""payload": {"median": 0}"#), "median");
+    }
+
+    #[test]
+    fn negative_payload_sigma_is_rejected() {
+        assert_rejected(&call("T1", r#""payload": {"sigma": -0.1}"#), "sigma");
+    }
+
+    #[test]
+    fn non_positive_cpu_median_is_rejected() {
+        assert_rejected(r#"{"cpu": {"median_cycles": -5}}"#, "median_cycles");
+    }
+
+    #[test]
+    fn negative_external_sigma_is_rejected() {
+        assert_rejected(&call("T4", r#""external": {"sigma": -1}"#), "sigma");
+        assert!(load_stage(&call("T4", r#""external": {"sigma": 0}"#)).is_ok());
     }
 
     #[test]

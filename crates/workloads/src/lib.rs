@@ -11,7 +11,7 @@
 //! - [`socialnetwork`] — the 8 services with their Table IV paths.
 //! - [`suites`] — HotelReservation-like and MediaServices-like mixes.
 //! - [`arrivals`] — bursty Alibaba-like and Azure-like arrival
-//!   generators (Markov-modulated Poisson).
+//!   profiles (Markov-modulated Poisson) and their generator.
 //! - [`openloop`] — composable open-loop arrival processes (diurnal
 //!   cycles, flash crowds, correlated bursts, cold-start storms) via
 //!   the [`openloop::ArrivalProcess`] trait (docs/WORKLOADS.md).
@@ -37,5 +37,5 @@ pub mod socialnetwork;
 pub mod suites;
 pub mod trainticket;
 
-pub use arrivals::{alibaba_like_arrivals, azure_like_arrivals, BurstyProfile};
+pub use arrivals::{bursty_arrivals, BurstyProfile};
 pub use openloop::{openloop_arrivals, ArrivalProcess};

@@ -7,14 +7,19 @@
 //! parse error's offset must lie inside the input. A fixed-seed
 //! [`SimRng`] drives random byte strings, byte-level mutations of a
 //! real service config and of a real trace export, and random
-//! [`Value`] trees that must survive `parse(v.pretty()) == v`.
+//! [`Value`] trees that must survive `parse(v.pretty()) == v`. Every
+//! mix the loader accepts samples each of its services once, which
+//! must not panic either.
 
+use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_core::machine::{Machine, MachineConfig};
 use accelflow_core::policy::Policy;
+use accelflow_core::request::ServiceSpec;
 use accelflow_sim::json::{self, Value};
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::telemetry::validate_chrome_trace;
-use accelflow_sim::time::SimDuration;
+use accelflow_sim::time::{Frequency, SimDuration};
+use accelflow_trace::templates::TraceLibrary;
 use accelflow_workloads::config::{load_services, save_services, ConfigError};
 use accelflow_workloads::socialnetwork;
 
@@ -26,7 +31,8 @@ const TOKENS: &[&str] = &[
 ];
 
 /// Runs every consumer on `text`: each must return rather than panic,
-/// and the config loader must fail exactly where the parser does.
+/// the config loader must fail exactly where the parser does, and
+/// every service of a mix it accepts must sample.
 fn check(text: &str) {
     let (parsed, len) = (json::parse(text), text.len());
     if let Err(e) = &parsed {
@@ -36,10 +42,21 @@ fn check(text: &str) {
         (Err(ConfigError::Json(e)), Err(p)) => assert_eq!(&e, p),
         (Err(ConfigError::Json(e)), Ok(_)) => panic!("loader failed to parse valid JSON: {e}"),
         (_, Err(p)) => panic!("loader accepted JSON the parser rejects: {p}"),
-        _ => {}
+        (Ok(services), Ok(_)) => sample_each(&services, len as u64),
+        (Err(ConfigError::Shape(_)), Ok(_)) => {}
     }
     if validate_chrome_trace(text).is_ok() {
         assert!(parsed.is_ok(), "trace validator accepted invalid JSON");
+    }
+}
+
+/// Samples one program of each service.
+fn sample_each(services: &[ServiceSpec], seed: u64) {
+    let lib = TraceLibrary::standard();
+    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
+    let mut rng = SimRng::seed(seed);
+    for svc in services {
+        svc.sample(&lib, &timing, &mut rng, 0);
     }
 }
 
@@ -116,6 +133,34 @@ fn mutated_service_configs_never_panic() {
     let mut rng = SimRng::seed(0x150_0002);
     for _ in 0..3_000 {
         check(&mutate(&mut rng, &config));
+    }
+}
+
+#[test]
+fn out_of_range_config_numbers_never_panic() {
+    // Zero, negative, just under the 64-byte payload floor, and huge,
+    // each in every numeric field of two services that between them
+    // have cpu, call and parallel stages and a T4 chain.
+    let mix = [
+        socialnetwork::compose_post(),
+        socialnetwork::read_home_timeline(),
+    ];
+    let config = save_services(&mix);
+    let lines: Vec<&str> = config.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        let Some((key, value)) = line.split_once(": ") else {
+            continue;
+        };
+        if !value.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+            continue;
+        }
+        let comma = if value.ends_with(',') { "," } else { "" };
+        for with in ["0", "-1", "63", "1e300"] {
+            let line = format!("{key}: {with}{comma}");
+            let mut edited = lines.clone();
+            edited[i] = &line;
+            check(&edited.join("\n"));
+        }
     }
 }
 
