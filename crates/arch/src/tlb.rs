@@ -259,13 +259,19 @@ impl accelflow_sim::snapshot::Snapshot for Tlb {
         r: &mut accelflow_sim::snapshot::SnapReader<'_>,
     ) -> Result<Self, accelflow_sim::snapshot::SnapshotError> {
         use accelflow_sim::snapshot::SnapshotError;
-        let n_sets = r.usize()?;
+        // Every set stores at least its `u16` occupancy, so `seq_len`
+        // bounds the set count by the bytes left; occupancy is a `u16`,
+        // which bounds the ways. Both checks run before allocating.
+        let n_sets = r.seq_len()?;
         let ways = r.usize()?;
-        if n_sets == 0 || ways == 0 {
+        let slots = n_sets
+            .checked_mul(ways)
+            .filter(|_| n_sets > 0 && (1..=u16::MAX as usize).contains(&ways));
+        let Some(slots) = slots else {
             return Err(SnapshotError::Corrupt(format!(
-                "degenerate TLB geometry: {n_sets} sets x {ways} ways"
+                "bad TLB geometry: {n_sets} sets x {ways} ways"
             )));
-        }
+        };
         let page_shift = r.u32()?;
         let hit_latency = SimDuration::load(r)?;
         let walk_latency = SimDuration::load(r)?;
@@ -277,7 +283,7 @@ impl accelflow_sim::snapshot::Snapshot for Tlb {
             page: 0,
             stamp: 0,
         };
-        let mut tags = vec![empty; n_sets * ways];
+        let mut tags = vec![empty; slots];
         let mut lens = vec![0u16; n_sets];
         for (s, slot) in lens.iter_mut().enumerate() {
             let len = r.u16()?;
