@@ -49,20 +49,12 @@ pub(crate) struct RequestState {
 
 impl MachineCtx {
     pub(crate) fn on_arrive(&mut self, now: SimTime, idx: u32, queue: &mut impl Schedule<Ev>) {
-        // Arrivals are stored reversed and admitted strictly in order,
-        // so the current one is the tail; popping it frees its payload
-        // now instead of leaving a tombstone for the run's lifetime.
-        let arrival = self.arrivals.pop().expect("arrival taken once");
-        // Chain the next arrival.
-        if let Some(next) = self.arrivals.last() {
-            let at = next.at;
-            queue.schedule_at(at, Ev::Arrive(idx + 1));
-        }
+        let arrival = self.arrival.take().expect("arrival taken once");
         let measured = now >= self.warmup_end && now < self.end;
         // Ingress control (rate limit / admission ceiling): a rejected
         // arrival is never admitted — no request state, no `offered`
-        // row, no audit record — but the arrival chain above already
-        // ran, so the open-loop stream never stalls.
+        // row, no audit record — but the fleet chains the next arrival
+        // regardless, so the open-loop stream never stalls.
         if self.control.is_some() {
             let tenant = arrival.tenant.0 as usize;
             if let Some(reason) = self.ingress_reject_reason(now, tenant, measured) {

@@ -2,9 +2,9 @@
 //! ensemble, executing sampled request programs under any of the ten
 //! orchestration policies (paper §III, §IV, §VI).
 //!
-//! The machine is a discrete-event model: [`MachineRun`] drives it from
-//! its own [`EventQueue`](accelflow_sim::engine::EventQueue), the
-//! cluster layer from the fleet's shared queue. Requests arrive as
+//! The machine is a discrete-event model driven by the
+//! [`cluster`](crate::cluster) layer's one run loop: a bare run is a
+//! one-node fleet over a zero-cost link ([`MachineRun`]). Requests arrive as
 //! network messages; their programs interleave app-logic stages on the
 //! core pool with trace calls over the accelerator stations. What
 //! differs between policies is purely *how control and data move
@@ -42,7 +42,8 @@
 //! | `resilience` | fault injection and recovery (retry/backoff, sibling re-dispatch, CPU degrade) |
 //! | `scaling` | ingress control (rate limit / admission) and the telemetry-feedback autoscaler |
 //! | `accounting` | latency breakdowns, stats/energy emission, telemetry, audit hooks, reports |
-//! | `snapshot` | versioned checkpoint/restore and the resumable [`MachineRun`] handle |
+//! | `snapshot` | the wire form of the machine's dynamic state, nested in fleet snapshots |
+//! | `run` | [`MachineRun`], the one-node view of [`ClusterRun`](crate::cluster::ClusterRun) |
 
 mod accounting;
 #[cfg(test)]
@@ -51,14 +52,17 @@ mod dispatch;
 mod fallback;
 mod lifecycle;
 mod resilience;
+mod run;
 mod scaling;
+#[cfg(test)]
+mod slab_tests;
 mod snapshot;
 #[cfg(test)]
 mod tests;
 mod transfer;
 
+pub use run::MachineRun;
 pub(crate) use snapshot::{config_hash, service_names, DRAIN_MARGIN};
-pub use snapshot::{MachineRun, SNAPSHOT_MAGIC};
 
 use std::collections::VecDeque;
 
@@ -238,7 +242,8 @@ impl MachineConfig {
 #[derive(Clone, Debug)]
 #[doc(hidden)]
 pub enum Ev {
-    /// The next arrival (index into the arrival list) lands.
+    /// The node's pending arrival lands; the index is the node-local
+    /// admission number.
     Arrive(u32),
     /// Begin the request's current program step.
     StartStep(u32),
@@ -319,10 +324,10 @@ pub(crate) struct MachineCtx {
     /// handles (freed requests) into misses instead of aliasing.
     pub(crate) requests: Slab<RequestState>,
     pub(crate) req_slots: Vec<SlotId>,
-    /// Pending arrivals, stored *reversed* so the strictly in-order
-    /// admission chain consumes them with `pop()` — each `Arrive`
-    /// frees its payload immediately instead of leaving a tombstone.
-    pub(crate) arrivals: Vec<Arrival>,
+    /// The dispatched arrival whose [`Ev::Arrive`] is pending. The
+    /// fleet places arrival *k+1* only when arrival *k* lands, so a
+    /// node holds at most one.
+    pub(crate) arrival: Option<Arrival>,
     pub(crate) stats: Vec<ServiceStats>,
     pub(crate) totals: MachineTotals,
     pub(crate) energy: EnergyMeter,
@@ -353,13 +358,7 @@ pub struct Machine {
 impl Machine {
     /// Builds the machine for a workload of `service_names.len()`
     /// services.
-    pub fn new(
-        cfg: MachineConfig,
-        service_names: Vec<String>,
-        arrivals: Vec<Arrival>,
-        end: SimTime,
-        seed: u64,
-    ) -> Self {
+    pub fn new(cfg: MachineConfig, service_names: Vec<String>, end: SimTime, seed: u64) -> Self {
         cfg.arch.validate().expect("invalid architecture config");
         let row = cfg.policy.row();
         let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
@@ -389,12 +388,9 @@ impl Machine {
             .collect();
         let stats = service_names.iter().map(ServiceStats::new).collect();
         let energy = EnergyMeter::new(EnergyModel::mcpat_like(), cfg.arch.cores, AccelKind::COUNT);
-        let req_slots = vec![SlotId::INVALID; arrivals.len()];
         let warmup_end = SimTime::ZERO + cfg.warmup;
         let lib = TraceLibrary::standard();
-        let auditor = cfg
-            .audit
-            .then(|| crate::audit::Auditor::new(arrivals.len(), lib.atm()));
+        let auditor = cfg.audit.then(|| crate::audit::Auditor::new(0, lib.atm()));
         let tel = TelState::for_config(&cfg, &accels);
         let faults = cfg.faults.enabled().then(|| {
             Box::new(FaultState::new(
@@ -428,12 +424,8 @@ impl Machine {
                 accels,
                 shared_queue: VecDeque::new(),
                 requests: Slab::with_capacity(64),
-                req_slots,
-                arrivals: {
-                    let mut a = arrivals;
-                    a.reverse();
-                    a
-                },
+                req_slots: Vec::new(),
+                arrival: None,
                 stats,
                 totals: MachineTotals::default(),
                 energy,
@@ -516,24 +508,33 @@ impl Machine {
     }
 }
 
-/// Hooks for the [`cluster`](crate::cluster) composition layer, which
-/// drives N captive machines from one shared outer queue instead of
-/// giving each its own. Crate-private: the cluster is the only caller,
-/// and the contract (one pending pushed arrival per machine at a time,
-/// reports extracted after the outer run drains) is enforced there.
+/// Hooks for the [`cluster`](crate::cluster) layer, which drives every
+/// machine from the fleet's one shared queue. Crate-private: the fleet
+/// is the only caller, and the contract (one pending arrival per
+/// machine at a time, reports extracted after the run drains) is
+/// enforced there.
 impl Machine {
-    /// Registers one externally-dispatched arrival and returns the
-    /// local index to carry in its [`Ev::Arrive`]. The cluster pushes
-    /// the payload at dispatch time and schedules the event itself;
-    /// `on_arrive` then pops it exactly like a preloaded arrival. At
-    /// most one pushed arrival is pending per machine (the cluster's
-    /// admission chain dispatches the next arrival only when the
-    /// current one is delivered), so the tail-pop discipline holds.
-    pub(crate) fn push_external_arrival(&mut self, arrival: Arrival) -> u32 {
+    /// Hands the machine the arrival its next [`Ev::Arrive`] admits and
+    /// returns the local index that event carries. The fleet's
+    /// admission chain places arrival *k+1* only when arrival *k* is
+    /// delivered, so at most one is ever pending.
+    pub(crate) fn push_arrival(&mut self, arrival: Arrival) -> u32 {
+        debug_assert!(self.ctx.arrival.is_none(), "one pending arrival");
         let idx = self.ctx.req_slots.len() as u32;
         self.ctx.req_slots.push(SlotId::INVALID);
-        self.ctx.arrivals.push(arrival);
+        self.ctx.arrival = Some(arrival);
         idx
+    }
+
+    /// True while a pushed arrival awaits its [`Ev::Arrive`].
+    pub(crate) fn holds_arrival(&self) -> bool {
+        self.ctx.arrival.is_some()
+    }
+
+    /// Moves the arrival horizon (the measurement window end) out to
+    /// `end` if that is later.
+    pub(crate) fn extend_end(&mut self, end: SimTime) {
+        self.ctx.end = self.ctx.end.max(end);
     }
 
     /// In-flight (admitted, not yet terminated) request count — the
@@ -614,17 +615,13 @@ impl MachineCtx {
 
 impl Machine {
     /// Schedules a fresh run's opening events through `queue`, in this
-    /// order: the first preloaded [`Ev::Arrive`], each enabled fault
-    /// class's first [`Ev::FaultInject`] in [`FaultClass::ALL`] order,
-    /// and the autoscaler's first [`Ev::ScaleTick`]. Each chain then
-    /// re-arms itself from its handler. Without faults or an
-    /// autoscaler it schedules nothing for them and draws no
-    /// randomness.
+    /// order: each enabled fault class's first [`Ev::FaultInject`] in
+    /// [`FaultClass::ALL`] order, and the autoscaler's first
+    /// [`Ev::ScaleTick`]. Each chain then re-arms itself from its
+    /// handler. Without faults or an autoscaler it schedules nothing
+    /// and draws no randomness. Arrivals are the fleet's to dispatch.
     pub(crate) fn arm(&mut self, queue: &mut impl Schedule<Ev>) {
         let ctx = &mut self.ctx;
-        if let Some(first) = ctx.arrivals.last() {
-            queue.schedule_at(first.at, Ev::Arrive(0));
-        }
         if let Some(f) = ctx.faults.as_mut() {
             for class in FaultClass::ALL {
                 if let Some(gap) = f.draw_gap(class) {
@@ -637,11 +634,23 @@ impl Machine {
         }
     }
 
-    /// Delivers one event, scheduling follow-ons through `queue`: the
-    /// machine's own [`EventQueue`](accelflow_sim::engine::EventQueue)
-    /// in a bare run, or the cluster's per-node sink that forwards into
-    /// the shared fleet queue.
-    #[inline]
+    /// Admits the pending arrival `idx`: the [`Ev::Arrive`] arm of
+    /// [`Machine::handle_event`], which the fleet calls with a sink of
+    /// its own so it can hold the admitted request's schedules behind
+    /// the next arrival.
+    pub(crate) fn admit(&mut self, now: SimTime, idx: u32, queue: &mut impl Schedule<Ev>) {
+        let ctx = &mut self.ctx;
+        if ctx.tel.is_some() {
+            ctx.sample_telemetry(now);
+        }
+        ctx.audit_pre_event(now);
+        ctx.on_arrive(now, idx, queue);
+        ctx.audit_post_event(now);
+    }
+
+    /// Delivers one event, scheduling follow-ons through `queue` (the
+    /// fleet's per-node sink into its shared queue).
+    #[inline(always)]
     pub(crate) fn handle_event(&mut self, now: SimTime, event: Ev, queue: &mut impl Schedule<Ev>) {
         let ctx = &mut self.ctx;
         if ctx.tel.is_some() {

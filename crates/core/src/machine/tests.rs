@@ -506,16 +506,18 @@ mod resilience_tests {
             SimDuration::from_millis(10),
             3,
         );
-        arrivals.truncate(1);
+        let first = arrivals.swap_remove(0);
         let mut cfg = MachineConfig::new(Policy::AccelFlow);
         cfg.warmup = SimDuration::ZERO;
         cfg.audit = true;
         let end = SimTime::ZERO + SimDuration::from_millis(10);
-        let mut machine = Machine::new(cfg, vec!["StaleTimer".into()], arrivals, end, 3);
+        let mut machine = Machine::new(cfg, vec!["StaleTimer".into()], end, 3);
         let mut queue = EventQueue::with_capacity(0);
-        machine.arm(&mut queue); // the first arrival
-                                 // The spurious timer: arm (step 0, par 0) is the fast T1 call,
-                                 // long done by 2 ms; arm 1's response arrives at ~5 ms.
+        let at = first.at;
+        let idx = machine.push_arrival(first);
+        queue.schedule_at(at, Ev::Arrive(idx));
+        // The spurious timer: arm (step 0, par 0) is the fast T1 call,
+        // long done by 2 ms; arm 1's response arrives at ~5 ms.
         queue.schedule_at(
             SimTime::ZERO + SimDuration::from_millis(2),
             Ev::Timeout {
@@ -690,7 +692,7 @@ mod instance_tests {
     fn zero_instances_rejected() {
         let mut cfg = MachineConfig::new(Policy::AccelFlow);
         cfg.instances_per_accel = 0;
-        let _ = Machine::new(cfg, vec![], vec![], SimTime::ZERO, 1);
+        let _ = Machine::new(cfg, vec![], SimTime::ZERO, 1);
     }
 
     #[test]
@@ -846,54 +848,5 @@ mod accounting_tests {
         let b = run(Policy::NonAcc);
         assert_eq!(a.per_service[0].tax_by_kind, b.per_service[0].tax_by_kind);
         assert_eq!(a.per_service[0].app_logic, b.per_service[0].app_logic);
-    }
-}
-
-mod slab_state {
-    use super::*;
-    use crate::request::{CallSpec, CyclesDist, StageSpec};
-    use accelflow_trace::templates::TemplateId;
-
-    /// The request table is a recycling slab: after a drained run every
-    /// slot has been freed, the arena footprint is bounded by peak
-    /// concurrency rather than arrival count, and the stable
-    /// per-arrival handles all read as gone — the generation tags turn
-    /// them into misses instead of aliasing a recycled slot.
-    #[test]
-    fn request_slab_recycles_and_stays_bounded() {
-        let svc = ServiceSpec::new(
-            "Simple",
-            vec![
-                StageSpec::Call(CallSpec::new(TemplateId::T1)),
-                StageSpec::Cpu(CyclesDist::new(40_000.0, 0.2)),
-                StageSpec::Call(CallSpec::new(TemplateId::T2)),
-            ],
-        );
-        let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(ArchConfig::icelake().core_clock);
-        let window = SimDuration::from_millis(20);
-        let arrivals = poisson_arrivals(&[svc], &lib, &timing, 2_000.0, window, 7);
-        let n = arrivals.len();
-        assert!(n > 20, "workload too small to exercise recycling");
-        let mut cfg = MachineConfig::new(Policy::AccelFlow);
-        cfg.warmup = SimDuration::ZERO;
-        let end = SimTime::ZERO + window;
-        let mut machine = Machine::new(cfg, vec!["Simple".into()], arrivals, end, 7);
-        let mut queue = EventQueue::with_capacity(0);
-        machine.arm(&mut queue); // the first arrival
-        queue.run_until(end + SimDuration::from_millis(30), |now, ev, q| {
-            machine.handle_event(now, ev, q)
-        });
-        let ctx = &machine.ctx;
-        assert_eq!(ctx.requests.len(), 0, "every request slot freed");
-        assert!(
-            ctx.requests.capacity_used() < n,
-            "arena bounded by concurrency: {} slots for {} arrivals",
-            ctx.requests.capacity_used(),
-            n
-        );
-        for i in 0..n as u32 {
-            assert!(ctx.req_gone(i), "freed handle {i} must read as gone");
-        }
     }
 }

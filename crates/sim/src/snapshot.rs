@@ -29,8 +29,10 @@
 
 use std::collections::VecDeque;
 
-/// Current layout version; bump on any wire-format change.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Current layout version; bump on any wire-format change. Version 2:
+/// every run snapshot is a fleet snapshot, and a node's record is its
+/// clamp count.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Why a snapshot failed to load.
 #[derive(Clone, Debug, PartialEq, Eq)]
