@@ -108,6 +108,16 @@ impl Default for SizeDist {
     }
 }
 
+/// Where a sampled CPU stage saturates: about an hour at any modelled
+/// clock. Log-normal tails are unbounded, so without a cap a large
+/// configured median or sigma would draw stages that overflow
+/// simulated time.
+const MAX_SAMPLED_CYCLES: f64 = 1e13;
+
+/// The delay of a lost external response (one hour, in µs), which is
+/// also where every sampled external delay saturates.
+const LOST_RESPONSE_US: f64 = 3.6e9;
+
 /// A log-normal distribution over CPU cycles for app-logic stages.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CyclesDist {
@@ -123,9 +133,10 @@ impl CyclesDist {
         CyclesDist { median, sigma }
     }
 
-    /// Draws a cycle count.
+    /// Draws a cycle count, saturating at about an hour of cycles.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         rng.log_normal(self.median, self.sigma)
+            .min(MAX_SAMPLED_CYCLES)
     }
 }
 
@@ -206,7 +217,7 @@ impl ExternalSpec {
         if rng.chance(self.loss_p) {
             // The response never arrives in time (dropped packet,
             // remote failure): the TCP timeout will fire.
-            return SimDuration::from_secs(3600);
+            return SimDuration::from_micros_f64(LOST_RESPONSE_US);
         }
         let base = rng.log_normal(self.median.as_micros_f64().max(0.01), self.sigma);
         let mult = if rng.chance(self.tail_p) {
@@ -214,7 +225,7 @@ impl ExternalSpec {
         } else {
             1.0
         };
-        SimDuration::from_micros_f64(base * mult)
+        SimDuration::from_micros_f64((base * mult).min(LOST_RESPONSE_US))
     }
 
     /// A fast same-rack DB-cache access (~20 µs median).

@@ -54,6 +54,12 @@ impl From<ParseError> for ConfigError {
     }
 }
 
+/// Largest accepted payload cap, in bytes (1 GiB).
+const MAX_PAYLOAD: u64 = 1 << 30;
+
+/// Largest accepted SLO slack multiplier.
+const MAX_SLO_SLACK: f64 = 1e3;
+
 fn shape<T>(msg: impl Into<String>) -> Result<T, ConfigError> {
     Err(ConfigError::Shape(msg.into()))
 }
@@ -98,10 +104,13 @@ fn call_spec(v: &Value) -> Result<CallSpec, ConfigError> {
     let mut spec = CallSpec::new(template(name)?);
     spec.cmp_variant_prob = num(v, "cmp_prob", spec.cmp_variant_prob)?;
     if let Some(p) = v.get("payload") {
-        // Sizes are clamped to `[64, max]` bytes.
+        // Sizes are clamped to `[64, max]` bytes; a cap past 1 GiB
+        // would price transfers beyond simulated time.
         let max = num(p, "max", 32.0 * 1024.0)? as u64;
-        if max < 64 {
-            return shape(format!("payload 'max' must be at least 64, not {max}"));
+        if !(64..=MAX_PAYLOAD).contains(&max) {
+            return shape(format!(
+                "payload 'max' must be within 64..={MAX_PAYLOAD}, not {max}"
+            ));
         }
         spec.payload = SizeDist::new(median(p, "median", 2048.0)?, sigma(p, 0.7)?, max);
     }
@@ -169,6 +178,12 @@ fn service(v: &Value) -> Result<ServiceSpec, ConfigError> {
     spec.tenant = TenantId(num(v, "tenant", 0.0)? as u16);
     spec.priority = num(v, "priority", 0.0)? as u8;
     if let Some(Value::Num(slack)) = v.get("slo_slack") {
+        // The deadline is the unloaded estimate times the slack.
+        if !(*slack > 0.0 && *slack <= MAX_SLO_SLACK) {
+            return shape(format!(
+                "'slo_slack' must be within (0, {MAX_SLO_SLACK}], not {slack}"
+            ));
+        }
         spec.slo_slack = Some(*slack);
     }
     Ok(spec)
@@ -371,6 +386,20 @@ mod tests {
     fn payload_max_below_the_size_floor_is_rejected() {
         assert_rejected(&call("T1", r#""payload": {"max": 63}"#), "max");
         assert!(load_stage(&call("T1", r#""payload": {"max": 64}"#)).is_ok());
+    }
+
+    #[test]
+    fn values_that_would_overflow_simulated_time_are_rejected() {
+        assert_rejected(&call("T1", r#""payload": {"max": 2e9}"#), "max");
+        assert!(load_stage(&call("T1", r#""payload": {"max": 1073741824}"#)).is_ok());
+        for slack in ["0", "-1", "1e300"] {
+            let json =
+                format!(r#"[{{"name": "S", "slo_slack": {slack}, "stages": [{{"cpu": {{}}}}]}}]"#);
+            match load_services(&json) {
+                Err(ConfigError::Shape(msg)) => assert!(msg.contains("slo_slack"), "{msg}"),
+                other => panic!("slack {slack}: expected a shape error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

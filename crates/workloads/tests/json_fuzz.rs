@@ -8,8 +8,10 @@
 //! [`SimRng`] drives random byte strings, byte-level mutations of a
 //! real service config and of a real trace export, and random
 //! [`Value`] trees that must survive `parse(v.pretty()) == v`. Every
-//! mix the loader accepts samples each of its services once, which
-//! must not panic either.
+//! mix the loader accepts samples each of its services once and runs
+//! through a short [`Machine::run_workload`], neither of which may
+//! panic: whatever the loader accepts must stay within simulated
+//! time.
 
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_core::machine::{Machine, MachineConfig};
@@ -42,7 +44,10 @@ fn check(text: &str) {
         (Err(ConfigError::Json(e)), Err(p)) => assert_eq!(&e, p),
         (Err(ConfigError::Json(e)), Ok(_)) => panic!("loader failed to parse valid JSON: {e}"),
         (_, Err(p)) => panic!("loader accepted JSON the parser rejects: {p}"),
-        (Ok(services), Ok(_)) => sample_each(&services, len as u64),
+        (Ok(services), Ok(_)) => {
+            sample_each(&services, len as u64);
+            run_briefly(&services, len as u64);
+        }
         (Err(ConfigError::Shape(_)), Ok(_)) => {}
     }
     if validate_chrome_trace(text).is_ok() {
@@ -102,6 +107,18 @@ fn mutate(rng: &mut SimRng, seed: &str) -> String {
         }
     }
     String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Runs `services` for 100 µs at 20 kRPS each, so every service
+/// sees about two arrivals.
+fn run_briefly(services: &[ServiceSpec], seed: u64) {
+    if services.is_empty() {
+        return;
+    }
+    let mut cfg = MachineConfig::new(Policy::AccelFlow);
+    cfg.warmup = SimDuration::ZERO;
+    let window = SimDuration::from_micros(100);
+    Machine::run_workload(&cfg, services, 20_000.0, window, seed);
 }
 
 /// A small real export: a short telemetry-on AccelFlow run.
