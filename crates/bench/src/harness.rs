@@ -3,12 +3,15 @@
 //! max-throughput search (paper Fig 14: "the maximum load without
 //! violating the SLO", SLO = 5× the unloaded service execution time).
 
+use std::sync::Mutex;
+
 use accelflow_accel::timing::ServiceTimeModel;
-use accelflow_core::arrivals::Arrival;
+use accelflow_core::arrivals::{poisson_arrivals_with, Arrival, MAX_RATE_RPS};
 use accelflow_core::machine::{Machine, MachineConfig};
 use accelflow_core::policy::Policy;
-use accelflow_core::request::ServiceSpec;
+use accelflow_core::request::{Program, ServiceSpec};
 use accelflow_core::stats::RunReport;
+use accelflow_sim::rng::SimRng;
 use accelflow_sim::time::SimDuration;
 use accelflow_trace::templates::TraceLibrary;
 use accelflow_workloads::arrivals::{bursty_arrivals, BurstyProfile};
@@ -29,29 +32,78 @@ pub struct Scale {
     pub seed: u64,
 }
 
+/// The longest `ACCELFLOW_DURATION_MS` a run takes: half of what
+/// simulated time holds, which leaves room for the drain and probe
+/// windows a run adds past its horizon.
+pub const MAX_DURATION_MS: u64 = u64::MAX / 2_000_000_000;
+
+/// An experiment environment variable set to a value no run can use.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable.
+    pub var: &'static str,
+    /// Its value.
+    pub value: String,
+    /// What a usable value is.
+    pub expected: String,
+}
+
+impl std::fmt::Display for EnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}={}: expected {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for EnvError {}
+
 impl Scale {
     /// The default experiment scale; override with the environment
     /// variables `ACCELFLOW_DURATION_MS`, `ACCELFLOW_RPS`, and
-    /// `ACCELFLOW_SEED`.
+    /// `ACCELFLOW_SEED`. A value that does not parse is ignored; one
+    /// that parses but that no run can use ([`Scale::from_vars`]) ends
+    /// the process with a message naming the variable.
     pub fn from_env() -> Self {
-        let ms = std::env::var("ACCELFLOW_DURATION_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(160u64);
-        let rps = std::env::var("ACCELFLOW_RPS")
-            .ok()
+        Scale::from_vars(|var| std::env::var(var).ok()).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Scale::from_env`] over any lookup of the variables.
+    ///
+    /// # Errors
+    ///
+    /// A duration above [`MAX_DURATION_MS`], whose simulated time
+    /// would overflow, and a rate that is negative or above
+    /// [`MAX_RATE_RPS`] (not finite included), whose gaps would not fit
+    /// simulated time's 1 ps tick.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
+        let parse = |name| var(name).and_then(|v| v.parse().ok());
+        let ms = parse("ACCELFLOW_DURATION_MS").unwrap_or(160u64);
+        if ms > MAX_DURATION_MS {
+            return Err(EnvError {
+                var: "ACCELFLOW_DURATION_MS",
+                value: ms.to_string(),
+                expected: format!("at most {MAX_DURATION_MS} ms"),
+            });
+        }
+        let rps = var("ACCELFLOW_RPS")
             .and_then(|v| v.parse().ok())
             .unwrap_or(13_400.0f64);
-        let seed = std::env::var("ACCELFLOW_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42u64);
-        Scale {
+        if !(0.0..=MAX_RATE_RPS).contains(&rps) {
+            return Err(EnvError {
+                var: "ACCELFLOW_RPS",
+                value: rps.to_string(),
+                expected: format!("a rate from 0 to {MAX_RATE_RPS:e} requests/s"),
+            });
+        }
+        let seed = parse("ACCELFLOW_SEED").unwrap_or(42u64);
+        Ok(Scale {
             duration: SimDuration::from_millis(ms),
             warmup: SimDuration::from_millis((ms / 8).max(2)),
             rps,
             seed,
-        }
+        })
     }
 
     /// A small scale for tests.
@@ -245,21 +297,83 @@ pub fn probe_prefix(
     )
 }
 
-/// One SLO probe at `rps`: fork the shared prefix, append a tail at
-/// the probe load over a window that adapts so every service collects
-/// enough samples for a stable P99 (low-rate probes need longer
-/// windows). Pure in `(prefix, rps)` — the cornerstone of the
-/// speculative parallel search.
-fn probe_report(
-    prefix: &sweep::WarmStart,
-    cfg: &MachineConfig,
-    services: &[ServiceSpec],
-    rps: f64,
+/// The programs one throughput search samples, kept so that every
+/// probe reuses them: service `i`'s `n`-th program, with the state of
+/// the service's stream that sampling it left, for one machine
+/// configuration, service mix and seed.
+///
+/// A probe's tail is a Poisson draw, which asks for the same programs
+/// from the same stream states at every rate (`accelflow_core::arrivals`
+/// explains why), so a memoized tail is the fresh draw's tail bit for
+/// bit. Only the buffer base is the probe's own: it numbers arrivals
+/// across services, so it depends on the rate. One lock per service
+/// lets the speculative search's probes share the memo.
+pub struct ProgramMemo<'a> {
+    services: &'a [ServiceSpec],
+    lib: TraceLibrary,
+    timing: ServiceTimeModel,
     seed: u64,
-) -> RunReport {
+    sampled: Vec<Mutex<Vec<(Program, SimRng)>>>,
+}
+
+impl<'a> ProgramMemo<'a> {
+    /// An empty memo for `services` under `cfg` at `seed`.
+    pub fn new(cfg: &MachineConfig, services: &'a [ServiceSpec], seed: u64) -> Self {
+        ProgramMemo {
+            services,
+            lib: TraceLibrary::standard(),
+            timing: cfg.sampling_timing(),
+            seed,
+            sampled: services.iter().map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// `cfg.poisson_arrivals(services, rps, duration, seed)` for this
+    /// memo's configuration, services and seed, sampling only the
+    /// programs no earlier draw sampled.
+    pub fn poisson_arrivals(&self, rps: f64, duration: SimDuration) -> Vec<Arrival> {
+        poisson_arrivals_with(
+            self.services,
+            rps,
+            duration,
+            self.seed,
+            |i, n, rng, base| self.program(i, n, rng, base),
+        )
+    }
+
+    fn program(&self, service: usize, n: u64, rng: &mut SimRng, base: u64) -> Program {
+        let n = usize::try_from(n).expect("arrival index fits usize");
+        let mut sampled = self.sampled[service]
+            .lock()
+            .expect("no probe panics while sampling");
+        if let Some((program, after)) = sampled.get(n) {
+            *rng = after.clone();
+            return program.rebased(base);
+        }
+        // A draw asks for programs 0, 1, 2, … in turn, so the memo holds
+        // every program before this one.
+        assert_eq!(sampled.len(), n, "programs are asked for in order");
+        let program = self.services[service].sample(&self.lib, &self.timing, rng, base);
+        sampled.push((program.clone(), rng.clone()));
+        program
+    }
+}
+
+/// The measured window of a probe at `rps`: it adapts so that every
+/// service collects enough samples for a stable P99 (low-rate probes
+/// need longer windows).
+pub fn probe_window(rps: f64) -> SimDuration {
     let ms = ((400.0 / rps) * 1000.0).clamp(80.0, 2_000.0) as u64;
-    let window = SimDuration::from_millis(ms);
-    let mut tail = cfg.poisson_arrivals(services, rps, window, seed);
+    SimDuration::from_millis(ms)
+}
+
+/// One SLO probe at `rps`: fork the shared prefix and append a tail at
+/// the probe load over [`probe_window`], its programs from `memo`.
+/// Pure in `(prefix, rps)` — the cornerstone of the speculative
+/// parallel search.
+fn probe_report(prefix: &sweep::WarmStart, memo: &ProgramMemo<'_>, rps: f64) -> RunReport {
+    let window = probe_window(rps);
+    let mut tail = memo.poisson_arrivals(rps, window);
     let offset = prefix.prefix_end();
     for a in &mut tail {
         a.at = offset + SimDuration::from_picos(a.at.as_picos());
@@ -278,13 +392,8 @@ pub fn max_throughput_sequential(
     seed: u64,
 ) -> f64 {
     let unloaded = unloaded_p99s(cfg, services, seed);
-    let probe = |rps: f64| {
-        meets_slo(
-            &probe_report(prefix, cfg, services, rps, seed),
-            &unloaded,
-            slo_mult,
-        )
-    };
+    let memo = ProgramMemo::new(cfg, services, seed);
+    let probe = |rps: f64| meets_slo(&probe_report(prefix, &memo, rps), &unloaded, slo_mult);
     let mut lo = SEARCH_FLOOR_RPS;
     if !probe(lo) {
         return lo;
@@ -353,9 +462,10 @@ pub fn max_throughput_speculative(
     let jobs: Vec<Job> = std::iter::once(Job::Unloaded)
         .chain(bracket.iter().map(|&rps| Job::Probe(rps)))
         .collect();
+    let memo = ProgramMemo::new(cfg, services, seed);
     let outs = sweep::map(jobs, |job| match job {
         Job::Unloaded => Out::Unloaded(unloaded_p99s(cfg, services, seed)),
-        Job::Probe(rps) => Out::Report(Box::new(probe_report(prefix, cfg, services, rps, seed))),
+        Job::Probe(rps) => Out::Report(Box::new(probe_report(prefix, &memo, rps))),
     });
     let mut outs = outs.into_iter();
     let unloaded = match outs.next() {
@@ -396,11 +506,7 @@ pub fn max_throughput_speculative(
         let mut seen = std::collections::HashSet::new();
         mids.retain(|m| !cache.contains_key(&m.to_bits()) && seen.insert(m.to_bits()));
         let results = sweep::map(mids.clone(), |m| {
-            meets_slo(
-                &probe_report(prefix, cfg, services, m, seed),
-                &unloaded,
-                slo_mult,
-            )
+            meets_slo(&probe_report(prefix, &memo, m), &unloaded, slo_mult)
         });
         for (m, r) in mids.iter().zip(results) {
             cache.insert(m.to_bits(), r);
@@ -467,6 +573,30 @@ mod tests {
         assert!(s.duration > s.warmup);
         let d = Scale::from_env();
         assert!(d.rps > 0.0);
+    }
+
+    /// [`Scale::from_vars`] over one set variable.
+    fn scale_with(name: &'static str, value: &str) -> Result<Scale, EnvError> {
+        Scale::from_vars(|var| (var == name).then(|| value.to_string()))
+    }
+
+    #[test]
+    fn scales_reject_values_no_run_can_use() {
+        for rps in ["inf", "1e300", "NaN", "-1", "1.5e12"] {
+            let err = scale_with("ACCELFLOW_RPS", rps).unwrap_err();
+            assert_eq!(err.var, "ACCELFLOW_RPS");
+            assert!(err.to_string().starts_with("ACCELFLOW_RPS="), "{err}");
+        }
+        for ms in ["18446744074", "20000000000", "18446744073709551615"] {
+            let err = scale_with("ACCELFLOW_DURATION_MS", ms).unwrap_err();
+            assert_eq!(err.var, "ACCELFLOW_DURATION_MS", "{ms}");
+        }
+        // The bounds themselves, zero, and unparsed values are usable.
+        let top = scale_with("ACCELFLOW_DURATION_MS", &MAX_DURATION_MS.to_string()).unwrap();
+        assert_eq!(top.duration.as_picos(), MAX_DURATION_MS * 1_000_000_000);
+        assert_eq!(scale_with("ACCELFLOW_RPS", "1e12").unwrap().rps, 1e12);
+        assert_eq!(scale_with("ACCELFLOW_RPS", "0").unwrap().rps, 0.0);
+        assert_eq!(scale_with("ACCELFLOW_RPS", "abc").unwrap().rps, 13_400.0);
     }
 }
 

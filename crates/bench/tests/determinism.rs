@@ -7,6 +7,10 @@
 //! `RunReport` doesn't implement `PartialEq`, so reports are compared
 //! through their full `Debug` rendering, which covers every counter,
 //! histogram bucket, and timestamp a run produces.
+//!
+//! The two throughput-search tests take most of a minute in a debug
+//! build, so they are ignored there; run them with
+//! `cargo test --release -p accelflow-bench --test determinism`.
 
 use accelflow_bench::harness::{self, Scale};
 use accelflow_bench::sweep;
@@ -268,6 +272,7 @@ fn sharded_sweep_is_byte_identical_to_unsharded() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
 fn warm_started_search_matches_cold() {
     // The throughput search's shared-prefix warm start (fork N restored
     // snapshot copies) must land on exactly the probes — and the exact
@@ -289,6 +294,7 @@ fn warm_started_search_matches_cold() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
 fn throughput_search_is_thread_count_invariant() {
     // The speculative parallel search must return the sequential
     // result for a small machine regardless of worker count.

@@ -59,7 +59,7 @@ pub mod policy;
 pub mod request;
 pub mod stats;
 
-pub use arrivals::{poisson_arrivals, Arrival, BUFFER_POOL};
+pub use arrivals::{poisson_arrivals, Arrival, BUFFER_POOL, MAX_RATE_RPS};
 pub use audit::{AuditReport, Auditor, Violation};
 pub use cluster::{BalancerKind, Cluster, ClusterConfig, ClusterReport, NodeLink};
 pub use control::{AutoscalerConfig, ControlConfig, ControlStats, RateLimit, SloTarget};

@@ -126,7 +126,7 @@ impl MachineCtx {
             flags: seg.flags,
             vaddr: call.vaddr() + ((addr.seg as u64) << 12),
             deadline: r.deadline,
-            priority: r.program.priority,
+            priority: r.program.priority(),
             enqueued_at: now,
             origin_core: 0,
             tag: addr.tag(),

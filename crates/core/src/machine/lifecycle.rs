@@ -62,7 +62,7 @@ impl MachineCtx {
                 return;
             }
         }
-        let deadline = arrival.program.slo_slack.map(|slack| {
+        let deadline = arrival.program.slo_slack().map(|slack| {
             let est = self.unloaded_estimate(&arrival.program);
             now + est * slack
         });

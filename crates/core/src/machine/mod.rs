@@ -230,10 +230,17 @@ impl MachineConfig {
         duration: SimDuration,
         seed: u64,
     ) -> Vec<Arrival> {
+        let lib = TraceLibrary::standard();
+        let timing = self.sampling_timing();
+        poisson_arrivals(services, &lib, &timing, rps_per_service, duration, seed)
+    }
+
+    /// The service times programs are sampled with: calibrated at the
+    /// core clock and scaled by the speedup scale.
+    pub fn sampling_timing(&self) -> ServiceTimeModel {
         let mut timing = ServiceTimeModel::calibrated(self.arch.core_clock);
         timing.set_speedup_scale(self.speedup_scale);
-        let lib = TraceLibrary::standard();
-        poisson_arrivals(services, &lib, &timing, rps_per_service, duration, seed)
+        timing
     }
 }
 
@@ -361,8 +368,7 @@ impl Machine {
     pub fn new(cfg: MachineConfig, service_names: Vec<String>, end: SimTime, seed: u64) -> Self {
         cfg.arch.validate().expect("invalid architecture config");
         let row = cfg.policy.row();
-        let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
-        timing.set_speedup_scale(cfg.speedup_scale);
+        let mut timing = cfg.sampling_timing();
         timing.set_tax_speed_factor(cfg.arch.generation.tax_factor());
         let app_factor = cfg.arch.generation.app_logic_factor();
 

@@ -1,20 +1,30 @@
-//! Sampled request programs, stored flat.
+//! Sampled request programs: immutable, shared, stored flat.
 //!
-//! A [`Program`] owns four exact-size boxed slices, whatever its shape:
-//! its steps, its trace calls, its segments and its hops, each in path
-//! order. Steps, calls and segments are small index records into the
-//! slice below them, so a [`CallAddr`] resolves to its hop by indexing
-//! flat slices, and holding, cloning or freeing a program costs at
-//! most four heap blocks. Segments refer to their trace through the
-//! library's shared `Arc`s — the way a queue entry refers to a trace
-//! resident in the ATM (paper §IV-A) — so sampling copies no trace.
+//! A [`Program`] is a handle: the request's buffer base and an [`Arc`]
+//! of the records sampling produced. Cloning a program, and so cloning
+//! an [`Arrival`](crate::arrivals::Arrival), copies no record: a
+//! common-random-number replay runs every design over one set of
+//! records, and [`Program::rebased`] hands the same records out at
+//! another buffer base.
 //!
-//! A hop is stored in 16 bytes. Its input size is not stored: a hop
-//! consumes what the hop before it produced, and a segment's first hop
-//! consumes the segment's entry size, so readers get each [`HopExec`]
-//! by value with `in_bytes` derived. Sampling walks the traces into
-//! one reused glue-action buffer, so it allocates only the program's
-//! own blocks.
+//! The records are three exact-size boxed slices, whatever the
+//! program's shape: its steps followed by its trace calls, in one slice
+//! of 16-byte records; its segments; and its hops, each in path order.
+//! Steps, calls and segments are small index records into the slice
+//! below them, so a [`CallAddr`] resolves to its hop by indexing flat
+//! slices, and a program owns at most four heap blocks: the shared
+//! header and its three slices. Segments refer to their trace through
+//! the library's shared `Arc`s — the way a queue entry refers to a
+//! trace resident in the ATM (paper §IV-A) — so sampling copies no
+//! trace.
+//!
+//! Nothing that a reader can derive is stored. A call's payload buffers
+//! sit at `base + (step << 20) + (par << 16)`, from the handle's base
+//! and the call's place. A hop's input size is the size the hop before
+//! it produced, or the segment's entry size for its first hop, so
+//! readers get each [`HopExec`] by value with `in_bytes` derived and a
+//! hop is stored in 16 bytes. Sampling walks the traces into one reused
+//! glue-action buffer, so it allocates only the program's own blocks.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -67,11 +77,21 @@ pub(crate) enum Step {
     Calls { calls: Span, parallel: bool },
 }
 
-/// A sampled trace call: its chain of segments.
-#[derive(Clone, Copy, Debug)]
-struct CallRec {
-    vaddr: u64,
-    segments: Span,
+/// One record of a program's step-and-call slice: a step, or a sampled
+/// trace call with its chain of segments.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Rec {
+    Step(Step),
+    Call { segments: Span },
+}
+
+const _: () = assert!(std::mem::size_of::<Rec>() == 16);
+
+/// The buffer offset of call `par` of step `step` from its program's
+/// base: each step gets its own megabyte, each parallel arm its own
+/// 64 KiB within it.
+fn call_offset(step: usize, par: usize) -> u64 {
+    ((step as u64) << 20).wrapping_add((par as u64) << 16)
 }
 
 /// A chain-free run of hops, and how it starts and ends.
@@ -170,55 +190,102 @@ pub enum SegmentEnd {
 
 /// A fully-sampled request: the concrete execution the machine runs.
 ///
-/// Read it through [`Program::calls`] (or [`Program::hops`] for every
+/// A handle to immutable records, so a clone shares them. Read it
+/// through [`Program::calls`] (or [`Program::hops`] for every
 /// accelerator visit at once); the flat storage itself is private.
 #[derive(Clone, Debug)]
 pub struct Program {
-    steps: Box<[Step]>,
-    calls: Box<[CallRec]>,
-    segments: Box<[SegmentRec]>,
-    hops: Box<[HopRec]>,
-    /// Soft-SLO slack factor carried from the spec.
-    pub slo_slack: Option<f64>,
-    /// Priority tag carried from the spec.
-    pub priority: u8,
+    /// Base virtual address of the request's payload buffers.
+    base: u64,
+    records: Arc<Records>,
 }
 
+/// What sampling produced, shared by every handle to one program.
+#[derive(Debug)]
+struct Records {
+    /// The steps, in path order, then the calls; a `Calls` step's span
+    /// indexes the calls.
+    recs: Box<[Rec]>,
+    /// How many of `recs` are steps.
+    steps: u32,
+    segments: Box<[SegmentRec]>,
+    hops: Box<[HopRec]>,
+    slo_slack: Option<f64>,
+    priority: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Records>() == 72);
+
 impl Program {
+    /// The same sampled records at buffer base `base`: the program a
+    /// draw that numbered this request's buffer arena differently
+    /// would have sampled. Copies no record.
+    pub fn rebased(&self, base: u64) -> Program {
+        Program {
+            base,
+            records: Arc::clone(&self.records),
+        }
+    }
+
+    /// Soft-SLO slack factor carried from the spec.
+    pub fn slo_slack(&self) -> Option<f64> {
+        self.records.slo_slack
+    }
+
+    /// Priority tag carried from the spec.
+    pub fn priority(&self) -> u8 {
+        self.records.priority
+    }
+
     /// Number of steps (stages of the service path).
     pub fn step_count(&self) -> usize {
-        self.steps.len()
+        self.records.steps as usize
     }
 
     pub(crate) fn step(&self, i: usize) -> Step {
-        self.steps[i]
+        match self.records.recs[..self.step_count()][i] {
+            Rec::Step(step) => step,
+            Rec::Call { .. } => unreachable!("steps come first"),
+        }
     }
 
     /// Total accelerator invocations on this request's resolved path
     /// (the `#` column of Table IV).
     pub fn accelerator_invocations(&self) -> usize {
-        self.hops.len()
+        self.records.hops.len()
     }
 
     /// All trace calls, in path order.
     pub fn calls(&self) -> impl ExactSizeIterator<Item = CallView<'_>> {
-        self.calls.iter().map(move |rec| self.view_call(rec))
+        let mut places = (0..self.step_count()).flat_map(move |step| {
+            let arms = match self.step(step) {
+                Step::Calls { calls, .. } => calls.len(),
+                Step::Cpu { .. } => 0,
+            };
+            (0..arms).map(move |par| (step, par))
+        });
+        let count = self.records.recs.len() - self.step_count();
+        (0..count).map(move |_| {
+            let (step, par) = places.next().expect("every call sits in a step");
+            self.view_call(step, par)
+        })
     }
 
     /// Every accelerator visit, in path order.
     pub fn hops(&self) -> impl Iterator<Item = HopExec> + '_ {
-        self.segments
+        let records = &*self.records;
+        records
+            .segments
             .iter()
-            .flat_map(|rec| view_segment(rec, &self.hops).hops())
+            .flat_map(|rec| view_segment(rec, &records.hops).hops())
     }
 
     /// Total app-logic cycles.
     pub fn app_cycles(&self) -> f64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Cpu { cycles } => *cycles,
-                _ => 0.0,
+        (0..self.step_count())
+            .map(|i| match self.step(i) {
+                Step::Cpu { cycles } => cycles,
+                Step::Calls { .. } => 0.0,
             })
             .sum()
     }
@@ -229,10 +296,22 @@ impl Program {
     ///
     /// Panics if the step is a CPU step.
     pub(crate) fn call(&self, step: u8, par: u8) -> CallView<'_> {
-        let Step::Calls { calls, .. } = self.steps[step as usize] else {
+        self.view_call(step as usize, par as usize)
+    }
+
+    fn view_call(&self, step: usize, par: usize) -> CallView<'_> {
+        let Step::Calls { calls, .. } = self.step(step) else {
             panic!("addressed a CPU step as a call");
         };
-        self.view_call(&self.calls[calls.range()][par as usize])
+        let records = &*self.records;
+        let Rec::Call { segments } = records.recs[self.step_count()..][calls.range()][par] else {
+            unreachable!("calls follow the steps");
+        };
+        CallView {
+            vaddr: self.base.wrapping_add(call_offset(step, par)),
+            segments: &records.segments[segments.range()],
+            hops: &records.hops,
+        }
     }
 
     /// The segment `addr` is executing.
@@ -243,14 +322,6 @@ impl Program {
     /// The hop `addr` is executing.
     pub(crate) fn hop(&self, addr: CallAddr) -> HopExec {
         self.segment(addr).hop(addr.hop as usize)
-    }
-
-    fn view_call<'a>(&'a self, rec: &CallRec) -> CallView<'a> {
-        CallView {
-            vaddr: rec.vaddr,
-            segments: &self.segments[rec.segments.range()],
-            hops: &self.hops,
-        }
     }
 }
 
@@ -340,13 +411,14 @@ impl<'a> SegmentView<'a> {
 }
 
 /// Growable staging for one program. Sampling and snapshot loading
-/// fill it, then [`ProgramBuilder::finish`] moves each list into an
-/// exact-size boxed slice. `actions` is the trace walks' glue-action
-/// buffer, reused across hops.
+/// fill it, then [`ProgramBuilder::finish`] moves the lists into the
+/// shared records' exact-size boxed slices, the calls (each its
+/// segment span) behind the steps. `actions` is the trace walks'
+/// glue-action buffer, reused across hops.
 #[derive(Debug, Default)]
 struct ProgramBuilder {
     steps: Vec<Step>,
-    calls: Vec<CallRec>,
+    calls: Vec<Span>,
     segments: Vec<SegmentRec>,
     hops: Vec<HopRec>,
     actions: Vec<GlueAction>,
@@ -379,21 +451,29 @@ impl ProgramBuilder {
     }
 
     /// Closes a call over the segments pushed since `first_segment`.
-    fn end_call(&mut self, first_segment: usize, vaddr: u64) {
-        self.calls.push(CallRec {
-            vaddr,
-            segments: Span::new(first_segment..self.segments.len()),
-        });
+    fn end_call(&mut self, first_segment: usize) {
+        self.calls
+            .push(Span::new(first_segment..self.segments.len()));
     }
 
-    fn finish(&mut self, slo_slack: Option<f64>, priority: u8) -> Program {
+    fn finish(&mut self, base: u64, slo_slack: Option<f64>, priority: u8) -> Program {
+        let steps = self.steps.len();
+        let recs = self
+            .steps
+            .drain(..)
+            .map(Rec::Step)
+            .chain(self.calls.drain(..).map(|segments| Rec::Call { segments }))
+            .collect();
         Program {
-            steps: self.steps.drain(..).collect(),
-            calls: self.calls.drain(..).collect(),
-            segments: self.segments.drain(..).collect(),
-            hops: self.hops.drain(..).collect(),
-            slo_slack,
-            priority,
+            base,
+            records: Arc::new(Records {
+                recs,
+                steps: u32::try_from(steps).expect("program fits u32 indices"),
+                segments: self.segments.drain(..).collect(),
+                hops: self.hops.drain(..).collect(),
+                slo_slack,
+                priority,
+            }),
         }
     }
 
@@ -405,7 +485,6 @@ impl ProgramBuilder {
         timing: &ServiceTimeModel,
         rng: &mut SimRng,
         spec: &CallSpec,
-        vaddr: u64,
     ) {
         let flags = spec.flags.sample(rng);
         let (mut trace, mut entry_is_network) = match &spec.custom {
@@ -443,7 +522,7 @@ impl ProgramBuilder {
                 *external = spec.external.sample(rng);
             }
         }
-        self.end_call(first_segment, vaddr);
+        self.end_call(first_segment);
     }
 
     /// Resolves one segment of `trace` and pushes its hops. Returns how
@@ -521,16 +600,16 @@ impl ProgramBuilder {
         (end, chained)
     }
 
-    /// Reads one call in the wire form [`Program::save_call`] writes.
-    /// A decoded trace that the standard library holds is swapped for
-    /// the library's shared copy.
+    /// Reads one call in the wire form [`Program::save_call`] writes
+    /// and returns its buffer address. A decoded trace that the
+    /// standard library holds is swapped for the library's shared copy.
     ///
     /// # Errors
     ///
     /// Besides a malformed or truncated record, a hop whose input size
     /// is not the previous hop's output size is corrupt: hop sizes
     /// chain, and only the first is stored.
-    fn load_call(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_call(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapshotError> {
         let first_segment = self.segments.len();
         for _ in 0..r.seq_len()? {
             let mut trace = Arc::<Trace>::load(r)?;
@@ -563,9 +642,8 @@ impl ProgramBuilder {
                 hops: Span::new(first_hop..self.hops.len()),
             });
         }
-        let vaddr = r.u64()?;
-        self.end_call(first_segment, vaddr);
-        Ok(())
+        self.end_call(first_segment);
+        r.u64()
     }
 }
 
@@ -580,32 +658,32 @@ impl ServiceSpec {
         vaddr_base: u64,
     ) -> Program {
         ProgramBuilder::with(|b| {
-            for (i, stage) in self.stages.iter().enumerate() {
-                let vaddr = vaddr_base + ((i as u64) << 20);
+            for stage in &self.stages {
                 let first_call = b.calls.len();
                 match stage {
                     StageSpec::Cpu(d) => b.steps.push(Step::Cpu {
                         cycles: d.sample(rng),
                     }),
                     StageSpec::Call(c) => {
-                        b.sample_call(lib, timing, rng, c, vaddr);
+                        b.sample_call(lib, timing, rng, c);
                         b.end_calls(first_call, false);
                     }
                     StageSpec::Parallel(calls) => {
-                        for (j, c) in calls.iter().enumerate() {
-                            b.sample_call(lib, timing, rng, c, vaddr + ((j as u64) << 16));
+                        for c in calls {
+                            b.sample_call(lib, timing, rng, c);
                         }
                         b.end_calls(first_call, true);
                     }
                 }
             }
-            b.finish(self.slo_slack, self.priority)
+            b.finish(vaddr_base, self.slo_slack, self.priority)
         })
     }
 }
 
 /// Samples one trace call on its own: a one-step program whose only
-/// step is the call (read it back with [`Program::calls`]).
+/// step is the call, buffered at `vaddr` (read it back with
+/// [`Program::calls`]).
 pub fn sample_call(
     lib: &TraceLibrary,
     timing: &ServiceTimeModel,
@@ -614,9 +692,9 @@ pub fn sample_call(
     vaddr: u64,
 ) -> Program {
     ProgramBuilder::with(|b| {
-        b.sample_call(lib, timing, rng, spec, vaddr);
+        b.sample_call(lib, timing, rng, spec);
         b.end_calls(0, false);
-        b.finish(None, 0)
+        b.finish(vaddr, None, 0)
     })
 }
 
@@ -625,7 +703,8 @@ pub fn sample_call(
 // The snapshot format predates the flat layout and nests calls inside
 // steps and hops inside segments, each list length-prefixed. It is
 // written here from the flat records, field for field, with each hop's
-// derived input size; `load_call` checks those sizes chain.
+// derived input size and each call's derived buffer address; loading
+// checks that those sizes chain and that the addresses sit on one base.
 
 accelflow_sim::impl_snapshot! {
     enum SegmentEnd { 0 => ToCpu, 1 => Continue, 2 => AwaitResponse { external } }
@@ -638,10 +717,10 @@ accelflow_sim::impl_snapshot! {
 }
 
 impl Program {
-    /// Writes call `i`: its segments (trace, flags, entry, hops, end),
-    /// then its buffer address.
-    fn save_call(&self, i: usize, w: &mut SnapWriter) {
-        let call = self.view_call(&self.calls[i]);
+    /// Writes call `par` of step `step`: its segments (trace, flags,
+    /// entry, hops, end), then its buffer address.
+    fn save_call(&self, step: usize, par: usize, w: &mut SnapWriter) {
+        let call = self.view_call(step, par);
         w.usize(call.segment_count());
         for seg in call.segments() {
             seg.trace.save(w);
@@ -659,9 +738,9 @@ impl Program {
 
 impl Snapshot for Program {
     fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.steps.len());
-        for step in self.steps.iter() {
-            match *step {
+        w.usize(self.step_count());
+        for step in 0..self.step_count() {
+            match self.step(step) {
                 Step::Cpu { cycles } => {
                     w.u8(0);
                     w.f64(cycles);
@@ -673,28 +752,35 @@ impl Snapshot for Program {
                     } else {
                         w.u8(1);
                     }
-                    for i in calls.range() {
-                        self.save_call(i, w);
+                    for par in 0..calls.len() {
+                        self.save_call(step, par, w);
                     }
                 }
             }
         }
-        self.slo_slack.save(w);
-        w.u8(self.priority);
+        self.slo_slack().save(w);
+        w.u8(self.priority());
     }
+
+    /// # Errors
+    ///
+    /// Besides the errors of each call's record, a call whose buffer
+    /// address is not at its place's offset from the program's first
+    /// call's base is corrupt: addresses are derived, not stored.
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let mut base = None;
         ProgramBuilder::with(|b| {
-            for _ in 0..r.seq_len()? {
+            for step in 0..r.seq_len()? {
                 let first_call = b.calls.len();
                 match r.u8()? {
                     0 => b.steps.push(Step::Cpu { cycles: r.f64()? }),
                     1 => {
-                        b.load_call(r)?;
+                        place(&mut base, b.load_call(r)?, step, 0)?;
                         b.end_calls(first_call, false);
                     }
                     2 => {
-                        for _ in 0..r.seq_len()? {
-                            b.load_call(r)?;
+                        for par in 0..r.seq_len()? {
+                            place(&mut base, b.load_call(r)?, step, par)?;
                         }
                         b.end_calls(first_call, true);
                     }
@@ -705,8 +791,22 @@ impl Snapshot for Program {
             }
             let slo_slack = Option::load(r)?;
             let priority = r.u8()?;
-            Ok(b.finish(slo_slack, priority))
+            Ok(b.finish(base.unwrap_or(0), slo_slack, priority))
         })
+    }
+}
+
+/// Checks that a loaded call buffers at `vaddr`, its place's offset
+/// from `base`; the first call of a program sets `base`.
+fn place(base: &mut Option<u64>, vaddr: u64, step: usize, par: usize) -> Result<(), SnapshotError> {
+    let offset = call_offset(step, par);
+    let base = *base.get_or_insert(vaddr.wrapping_sub(offset));
+    if vaddr == base.wrapping_add(offset) {
+        Ok(())
+    } else {
+        Err(SnapshotError::Corrupt(format!(
+            "call {par} of step {step} buffers at {vaddr:#x}, off its program's base {base:#x}"
+        )))
     }
 }
 

@@ -226,7 +226,7 @@ fn wire_form_round_trips() {
     let mut again = SnapWriter::new();
     back.save(&mut again);
     assert_eq!(again.into_bytes(), bytes);
-    assert_eq!(back.steps, program.steps);
+    assert_eq!(back.records.recs, program.records.recs);
     // A one-arm Parallel stage keeps its own tag.
     assert!(matches!(back.step(1), Step::Calls { parallel: true, .. }));
 }
@@ -289,4 +289,49 @@ fn load_shares_library_traces_and_keeps_custom_ones() {
     assert_eq!(**restored.trace, custom);
     assert!(TraceLibrary::standard_shared(restored.trace).is_none());
     assert_eq!(save_bytes(&back), bytes);
+}
+
+#[test]
+fn a_clone_and_a_rebase_share_the_records() {
+    let (lib, timing, mut rng) = fixtures();
+    let program = three_steps().sample(&lib, &timing, &mut rng, 3 << 24);
+    let copy = program.clone();
+    assert!(Arc::ptr_eq(&copy.records, &program.records));
+    let moved = program.rebased(5 << 24);
+    assert!(Arc::ptr_eq(&moved.records, &program.records));
+    for (a, b) in program.calls().zip(moved.calls()) {
+        assert_eq!(b.vaddr() - a.vaddr(), 2 << 24);
+    }
+    // The rebased handle writes what sampling at its base writes.
+    let fresh = three_steps().sample(&lib, &timing, &mut SimRng::seed(42), 5 << 24);
+    assert_eq!(save_bytes(&moved), save_bytes(&fresh));
+}
+
+#[test]
+fn load_rejects_a_call_off_its_programs_base() {
+    let (lib, timing, mut rng) = fixtures();
+    let program = three_steps().sample(&lib, &timing, &mut rng, 0x4000);
+    let mut bytes = save_bytes(&program);
+    // The last call's address closes the record, before the slack
+    // (one `None` byte) and the priority byte.
+    let last = program.calls().last().unwrap().vaddr();
+    let at = bytes.len() - 2 - 8;
+    assert_eq!(bytes[at..at + 8], save_bytes(&last)[..]);
+    bytes[at..at + 8].copy_from_slice(&save_bytes(&(last + 1)));
+    match Program::load(&mut SnapReader::new(&bytes)) {
+        Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("base"), "{msg}"),
+        other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+    }
+}
+
+/// Two call steps around a CPU step, the second a two-arm fan-out.
+fn three_steps() -> ServiceSpec {
+    ServiceSpec::new(
+        "toy",
+        vec![
+            StageSpec::Call(CallSpec::new(TemplateId::T1)),
+            StageSpec::Cpu(CyclesDist::new(10_000.0, 0.2)),
+            StageSpec::Parallel(vec![CallSpec::new(TemplateId::T9); 2]),
+        ],
+    )
 }

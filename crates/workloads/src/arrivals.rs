@@ -12,7 +12,7 @@
 //! segment is an exact Poisson stream rather than a thinned one.
 
 use accelflow_accel::timing::ServiceTimeModel;
-use accelflow_core::arrivals::{draw_arrivals, Arrival};
+use accelflow_core::arrivals::{draw_arrivals, fresh_programs, Arrival};
 use accelflow_core::request::ServiceSpec;
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::time::SimDuration;
@@ -84,7 +84,8 @@ pub fn bursty_arrivals(
     let mut master = SimRng::seed(seed);
     let timeline = CorrelatedBursts::draw("mmpp", profile, duration, &mut master.fork(0xB00));
     let bursts = &timeline.segments;
-    draw_arrivals(services, lib, timing, mean_rps, bursts, master, |_, _| true)
+    let sample = fresh_programs(services, lib, timing);
+    draw_arrivals(services, mean_rps, bursts, master, |_, _| true, sample)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! `stats_openloop` runs.
 
 use accelflow_accel::timing::ServiceTimeModel;
-use accelflow_core::arrivals::{draw_arrivals, Arrival};
+use accelflow_core::arrivals::{draw_arrivals, fresh_programs, Arrival};
 use accelflow_core::request::ServiceSpec;
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::time::{SimDuration, SimTime};
@@ -432,7 +432,8 @@ pub fn openloop_arrivals(
     // λ(t)/peak. The accept draw is consumed for every candidate, so the
     // kept instants do not depend on how loose the envelope is.
     let thin = |at, rng: &mut SimRng| rng.uniform() < (process.intensity(at) / peak).min(1.0);
-    draw_arrivals(services, lib, timing, mean_rps, &segments, master, thin)
+    let sample = fresh_programs(services, lib, timing);
+    draw_arrivals(services, mean_rps, &segments, master, thin, sample)
 }
 
 #[cfg(test)]
