@@ -1,7 +1,7 @@
 //! §VII-C5: accelerator-speedup sensitivity — AccelFlow vs RELIEF
 //! max throughput as every accelerator's speedup scales by 0.25x to 4x.
 
-use accelflow_bench::harness;
+use accelflow_bench::harness::{self, Scale};
 use accelflow_bench::paper;
 use accelflow_bench::sweep;
 use accelflow_bench::table::{ratio, Table};
@@ -12,10 +12,7 @@ use accelflow_workloads::socialnetwork;
 
 fn main() {
     let services = socialnetwork::all();
-    let seed = std::env::var("ACCELFLOW_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed = Scale::from_env().seed;
     let points = [
         (0.25, Some(1.4)),
         (0.5, None),

@@ -3,8 +3,9 @@
 //! paper runs the services "for 400K requests": faster architectures
 //! drain the batch sooner, so they also spend less static energy).
 
-use accelflow_bench::harness;
+use accelflow_bench::harness::{self, Scale};
 use accelflow_bench::paper;
+use accelflow_bench::sweep;
 use accelflow_bench::table::{pct, ratio, Table};
 use accelflow_core::machine::{Machine, MachineConfig};
 use accelflow_core::policy::Policy;
@@ -13,25 +14,27 @@ use accelflow_workloads::socialnetwork;
 
 fn main() {
     let services = socialnetwork::all();
-    let seed = std::env::var("ACCELFLOW_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let seed = Scale::from_env().seed;
     // Batch size per service (scaled down from the paper's 400K total).
     let batch_per_service = std::env::var("ACCELFLOW_BATCH")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3_000u64);
 
-    let mut rows = Vec::new();
-    for p in [Policy::NonAcc, Policy::Relief, Policy::AccelFlow] {
-        // Drive each architecture at 85% of its own sustainable peak.
-        let peak = harness::max_throughput(p, &services, 5.0, seed);
-        let rate = peak * 0.85;
+    // Drive each architecture at 85% of its own sustainable peak: one
+    // throughput search and one batch run per architecture, fanned out
+    // as one sweep.
+    let policies = [Policy::NonAcc, Policy::Relief, Policy::AccelFlow];
+    let runs = sweep::map(policies.to_vec(), |p| {
+        let rate = harness::max_throughput(p, &services, 5.0, seed) * 0.85;
         let duration = SimDuration::from_secs_f64(batch_per_service as f64 / rate);
         let mut cfg = MachineConfig::new(p);
         cfg.warmup = SimDuration::ZERO;
         let r = Machine::run_workload(&cfg, &services, rate, duration, seed);
+        (rate, r)
+    });
+    let mut rows = Vec::new();
+    for (p, (rate, r)) in policies.into_iter().zip(runs) {
         let e = r.totals.energy;
         let ppw = r.completed() as f64 / e.total_j;
         println!(

@@ -10,13 +10,9 @@ use accelflow_workloads::socialnetwork;
 
 fn main() {
     let services = socialnetwork::all();
-    let seed = std::env::var("ACCELFLOW_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let peak = harness::max_throughput(Policy::AccelFlow, &services, 5.0, seed);
-    println!("peak throughput: {:.1} kRPS/service\n", peak / 1000.0);
     let mut scale = Scale::from_env();
+    let peak = harness::max_throughput(Policy::AccelFlow, &services, 5.0, scale.seed);
+    println!("peak throughput: {:.1} kRPS/service\n", peak / 1000.0);
     scale.rps = peak;
     let r = harness::run_poisson(Policy::AccelFlow, &services, peak, scale);
 

@@ -3,7 +3,7 @@
 //! max-throughput search (paper Fig 14: "the maximum load without
 //! violating the SLO", SLO = 5× the unloaded service execution time).
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_core::arrivals::{poisson_arrivals_with, Arrival, MAX_RATE_RPS};
@@ -211,27 +211,23 @@ pub fn max_throughput(policy: Policy, services: &[ServiceSpec], slo_mult: f64, s
 /// machines for tests, PE sweeps for Fig 19, deadline scheduling for
 /// §VII-A3).
 ///
-/// With more than one sweep thread available this runs the
-/// *speculative* parallel search: the unloaded baseline and all bracket
-/// doublings go out as one [`sweep::map`], then each bisection round
-/// evaluates the next few levels of the decision tree concurrently.
-/// Every probe is a pure function of `rps` (seeded simulation, fixed
-/// window), so the speculative walk lands on exactly the probes the
-/// sequential search would have made and returns a bit-identical
-/// result — it only trades redundant probe work for wall-clock.
+/// One search runs on the calling thread: an exponential bracket with
+/// early exit, then bisection, every probe forked from one warm prefix
+/// snapshot. Figures that need several searches fan them out with
+/// [`sweep::map`], one search per worker.
 pub fn max_throughput_with(
     cfg: &MachineConfig,
     services: &[ServiceSpec],
     slo_mult: f64,
     seed: u64,
 ) -> f64 {
-    max_throughput_with_mode(cfg, services, slo_mult, seed, warm_start_enabled())
+    max_throughput_with_mode(cfg, services, slo_mult, seed, true)
 }
 
-/// [`max_throughput_with`] with the warm-start mode pinned explicitly
-/// (instead of read from `ACCELFLOW_WARM_START`) — for the determinism
-/// suite's warm-vs-cold equality check and perfbench's `fig14_search`
-/// workload.
+/// [`max_throughput_with`] with the prefix start chosen: `warm` forks
+/// every probe from one snapshot, cold re-simulates the prefix per
+/// probe. Both land on the same result; the cold mode is the reference
+/// for the determinism suite's warm-vs-cold equality check.
 pub fn max_throughput_with_mode(
     cfg: &MachineConfig,
     services: &[ServiceSpec],
@@ -240,11 +236,30 @@ pub fn max_throughput_with_mode(
     warm: bool,
 ) -> f64 {
     let prefix = probe_prefix(cfg, services, seed, warm);
-    if sweep::parallelism() == 1 || sweep::in_sweep() {
-        max_throughput_sequential(&prefix, cfg, services, slo_mult, seed)
-    } else {
-        max_throughput_speculative(&prefix, cfg, services, slo_mult, seed)
+    let unloaded = unloaded_p99s(cfg, services, seed);
+    let memo = ProgramMemo::new(cfg, services, seed);
+    let probe = |rps: f64| meets_slo(&probe_report(&prefix, &memo, rps), &unloaded, slo_mult);
+    let mut lo = SEARCH_FLOOR_RPS;
+    if !probe(lo) {
+        return lo;
     }
+    let mut hi = lo;
+    for _ in 0..BRACKET_STEPS {
+        hi *= 2.0;
+        if !probe(hi) {
+            break;
+        }
+        lo = hi;
+    }
+    for _ in 0..BISECT_STEPS {
+        let mid = (lo + hi) / 2.0;
+        if probe(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Starting load of the throughput search (requests/second/service).
@@ -258,19 +273,6 @@ const BISECT_STEPS: usize = 7;
 /// search and can be simulated once.
 const PREFIX_RPS: f64 = 400.0;
 
-/// Whether throughput-search probes warm-start from a shared prefix
-/// snapshot. On by default; `ACCELFLOW_WARM_START=0` (or `off`/
-/// `false`) re-simulates the prefix per probe — same two-phase code
-/// path, byte-identical results (pinned in the bench determinism
-/// suite), just slower. The cold mode is the honest baseline for the
-/// warm-start speedup accounting in `docs/BENCHMARKS.md`.
-pub fn warm_start_enabled() -> bool {
-    !matches!(
-        std::env::var("ACCELFLOW_WARM_START").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    )
-}
-
 /// The shared probe prefix of one throughput search: `cfg.warmup` of
 /// arrivals at a fixed light load, simulated once and
 /// snapshotted when `warm` (see [`sweep::WarmStart`]).
@@ -280,7 +282,7 @@ pub fn warm_start_enabled() -> bool {
 /// shared light-load prefix the ramp to the probe's load happens at
 /// the measurement boundary instead, which makes the probe marginally
 /// more conservative — and identical for every probe, warm or cold.
-pub fn probe_prefix(
+fn probe_prefix(
     cfg: &MachineConfig,
     services: &[ServiceSpec],
     seed: u64,
@@ -306,14 +308,14 @@ pub fn probe_prefix(
 /// from the same stream states at every rate (`accelflow_core::arrivals`
 /// explains why), so a memoized tail is the fresh draw's tail bit for
 /// bit. Only the buffer base is the probe's own: it numbers arrivals
-/// across services, so it depends on the rate. One lock per service
-/// lets the speculative search's probes share the memo.
+/// across services, so it depends on the rate. A search runs on one
+/// thread, so the memo stays on it too.
 pub struct ProgramMemo<'a> {
     services: &'a [ServiceSpec],
     lib: TraceLibrary,
     timing: ServiceTimeModel,
     seed: u64,
-    sampled: Vec<Mutex<Vec<(Program, SimRng)>>>,
+    sampled: RefCell<Vec<Vec<(Program, SimRng)>>>,
 }
 
 impl<'a> ProgramMemo<'a> {
@@ -324,7 +326,7 @@ impl<'a> ProgramMemo<'a> {
             lib: TraceLibrary::standard(),
             timing: cfg.sampling_timing(),
             seed,
-            sampled: services.iter().map(|_| Mutex::default()).collect(),
+            sampled: RefCell::new(vec![Vec::new(); services.len()]),
         }
     }
 
@@ -343,9 +345,8 @@ impl<'a> ProgramMemo<'a> {
 
     fn program(&self, service: usize, n: u64, rng: &mut SimRng, base: u64) -> Program {
         let n = usize::try_from(n).expect("arrival index fits usize");
-        let mut sampled = self.sampled[service]
-            .lock()
-            .expect("no probe panics while sampling");
+        let mut sampled = self.sampled.borrow_mut();
+        let sampled = &mut sampled[service];
         if let Some((program, after)) = sampled.get(n) {
             *rng = after.clone();
             return program.rebased(base);
@@ -369,8 +370,7 @@ pub fn probe_window(rps: f64) -> SimDuration {
 
 /// One SLO probe at `rps`: fork the shared prefix and append a tail at
 /// the probe load over [`probe_window`], its programs from `memo`.
-/// Pure in `(prefix, rps)` — the cornerstone of the speculative
-/// parallel search.
+/// Pure in `(prefix, rps)`.
 fn probe_report(prefix: &sweep::WarmStart, memo: &ProgramMemo<'_>, rps: f64) -> RunReport {
     let window = probe_window(rps);
     let mut tail = memo.poisson_arrivals(rps, window);
@@ -379,149 +379,6 @@ fn probe_report(prefix: &sweep::WarmStart, memo: &ProgramMemo<'_>, rps: f64) -> 
         a.at = offset + SimDuration::from_picos(a.at.as_picos());
     }
     prefix.fork(tail, offset + window)
-}
-
-/// The original single-threaded search: exponential bracket with early
-/// exit, then bisection. Used when only one sweep thread is configured
-/// (it probes strictly fewer points than the speculative variant).
-pub fn max_throughput_sequential(
-    prefix: &sweep::WarmStart,
-    cfg: &MachineConfig,
-    services: &[ServiceSpec],
-    slo_mult: f64,
-    seed: u64,
-) -> f64 {
-    let unloaded = unloaded_p99s(cfg, services, seed);
-    let memo = ProgramMemo::new(cfg, services, seed);
-    let probe = |rps: f64| meets_slo(&probe_report(prefix, &memo, rps), &unloaded, slo_mult);
-    let mut lo = SEARCH_FLOOR_RPS;
-    if !probe(lo) {
-        return lo;
-    }
-    let mut hi = lo;
-    for _ in 0..BRACKET_STEPS {
-        hi *= 2.0;
-        if !probe(hi) {
-            break;
-        }
-        lo = hi;
-    }
-    for _ in 0..BISECT_STEPS {
-        let mid = (lo + hi) / 2.0;
-        if probe(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// Midpoints of the bisection decision tree rooted at `(lo, hi)`, down
-/// to `depth` levels, generated with the same `(lo + hi) / 2.0` float
-/// arithmetic the sequential walk uses so speculative probes land on
-/// bit-identical loads.
-fn bisection_candidates(lo: f64, hi: f64, depth: usize, out: &mut Vec<f64>) {
-    if depth == 0 {
-        return;
-    }
-    let mid = (lo + hi) / 2.0;
-    out.push(mid);
-    bisection_candidates(lo, mid, depth - 1, out);
-    bisection_candidates(mid, hi, depth - 1, out);
-}
-
-/// The parallel search. Phase 1 evaluates the unloaded baseline plus
-/// every bracket doubling concurrently (the bracket has no early exit —
-/// failed speculation costs only redundant work, never correctness).
-/// Phase 2 bisects, evaluating 2^d − 1 speculative midpoints per round,
-/// with d sized to the thread budget.
-pub fn max_throughput_speculative(
-    prefix: &sweep::WarmStart,
-    cfg: &MachineConfig,
-    services: &[ServiceSpec],
-    slo_mult: f64,
-    seed: u64,
-) -> f64 {
-    enum Job {
-        Unloaded,
-        Probe(f64),
-    }
-    enum Out {
-        Unloaded(Vec<SimDuration>),
-        Report(Box<RunReport>),
-    }
-
-    // Phase 1: baseline + bracket, one fan-out.
-    let mut bracket = vec![SEARCH_FLOOR_RPS];
-    let mut v = SEARCH_FLOOR_RPS;
-    for _ in 0..BRACKET_STEPS {
-        v *= 2.0;
-        bracket.push(v);
-    }
-    let jobs: Vec<Job> = std::iter::once(Job::Unloaded)
-        .chain(bracket.iter().map(|&rps| Job::Probe(rps)))
-        .collect();
-    let memo = ProgramMemo::new(cfg, services, seed);
-    let outs = sweep::map(jobs, |job| match job {
-        Job::Unloaded => Out::Unloaded(unloaded_p99s(cfg, services, seed)),
-        Job::Probe(rps) => Out::Report(Box::new(probe_report(prefix, &memo, rps))),
-    });
-    let mut outs = outs.into_iter();
-    let unloaded = match outs.next() {
-        Some(Out::Unloaded(u)) => u,
-        _ => unreachable!("first sweep job is the unloaded baseline"),
-    };
-    let pass: Vec<bool> = outs
-        .map(|o| match o {
-            Out::Report(r) => meets_slo(&r, &unloaded, slo_mult),
-            Out::Unloaded(_) => unreachable!("only one baseline job"),
-        })
-        .collect();
-
-    // Replay the sequential bracket walk over the cached outcomes.
-    if !pass[0] {
-        return bracket[0];
-    }
-    let mut lo = bracket[0];
-    let mut hi = lo;
-    for &ok in &pass[1..] {
-        hi *= 2.0;
-        if !ok {
-            break;
-        }
-        lo = hi;
-    }
-
-    // Phase 2: speculative bisection. Depth d costs 2^d − 1 probes per
-    // round; match it to the thread budget so one round is one wave.
-    let depth_per_round = if sweep::parallelism() >= 8 { 3 } else { 2 };
-    let mut cache: std::collections::HashMap<u64, bool> = std::collections::HashMap::new();
-    let mut remaining = BISECT_STEPS;
-    while remaining > 0 {
-        let d = depth_per_round.min(remaining);
-        let mut mids = Vec::new();
-        bisection_candidates(lo, hi, d, &mut mids);
-        // Degenerate intervals repeat midpoints; probe each load once.
-        let mut seen = std::collections::HashSet::new();
-        mids.retain(|m| !cache.contains_key(&m.to_bits()) && seen.insert(m.to_bits()));
-        let results = sweep::map(mids.clone(), |m| {
-            meets_slo(&probe_report(prefix, &memo, m), &unloaded, slo_mult)
-        });
-        for (m, r) in mids.iter().zip(results) {
-            cache.insert(m.to_bits(), r);
-        }
-        for _ in 0..d {
-            let mid = (lo + hi) / 2.0;
-            if cache[&mid.to_bits()] {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        remaining -= d;
-    }
-    lo
 }
 
 /// Average P99 across services, as a single figure of merit.

@@ -12,10 +12,12 @@
 //! [`std::thread::available_parallelism`]. `ACCELFLOW_THREADS=1`
 //! degrades to a plain sequential loop with no threads spawned.
 //!
-//! Nested sweeps (a parallel figure loop whose body calls the parallel
-//! [`max_throughput`](crate::harness::max_throughput) search) run their
-//! inner layer sequentially, so the total thread count stays bounded by
-//! the configured parallelism instead of multiplying per level.
+//! A throughput search ([`max_throughput`](crate::harness::max_throughput))
+//! is one sequential walk of dependent probes, so a figure with several
+//! searches sends them through one sweep, a search per worker. A sweep
+//! nested inside a sweep worker runs sequentially, so the total thread
+//! count stays bounded by the configured parallelism instead of
+//! multiplying per level.
 //!
 //! Two scale levers layer on top of the thread fan-out (both in
 //! `docs/CHECKPOINT.md`):
@@ -67,7 +69,7 @@ pub fn parallelism() -> usize {
 }
 
 /// Whether the current thread is already inside a sweep worker.
-pub fn in_sweep() -> bool {
+fn in_sweep() -> bool {
     IN_SWEEP.with(|f| f.get())
 }
 

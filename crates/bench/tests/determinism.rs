@@ -296,22 +296,23 @@ fn warm_started_search_matches_cold() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
 fn throughput_search_is_thread_count_invariant() {
-    // The speculative parallel search must return the sequential
-    // result for a small machine regardless of worker count.
+    // Figures with several throughput searches send them through one
+    // sweep, a search per worker; the results must not depend on how
+    // many workers ran them.
     let services = vec![socialnetwork::uniq_id()];
-    let mk = || {
-        let mut cfg = harness::machine_config(Policy::AccelFlow, Scale::quick());
+    let search = |policy| {
+        let mut cfg = harness::machine_config(policy, Scale::quick());
         cfg.arch.cores = 2;
         cfg.arch.pes_per_accelerator = 1;
-        cfg
+        harness::max_throughput_with(&cfg, &services, 5.0, 3)
     };
     let with_threads = |n: &str| {
         std::env::set_var("ACCELFLOW_THREADS", n);
-        let r = harness::max_throughput_with(&mk(), &services, 5.0, 3);
+        let r = sweep::map(vec![Policy::AccelFlow, Policy::NonAcc], search);
         std::env::remove_var("ACCELFLOW_THREADS");
         r
     };
-    let seq = with_threads("1"); // original early-exit sequential search
-    let par = with_threads("4"); // speculative parallel search
-    assert_eq!(seq, par, "search result must not depend on thread count");
+    let seq = with_threads("1");
+    let par = with_threads("4");
+    assert_eq!(seq, par, "search results must not depend on thread count");
 }

@@ -5,8 +5,7 @@
 //! `cargo test --release -p accelflow-bench --test throughput_search`.
 
 use accelflow_bench::harness::{
-    machine_config, max_throughput_sequential, max_throughput_speculative, max_throughput_with,
-    meets_slo, probe_prefix, run_poisson, unloaded_means, Scale,
+    machine_config, max_throughput_with, meets_slo, run_poisson, unloaded_means, Scale,
 };
 use accelflow_core::policy::Policy;
 use accelflow_workloads::socialnetwork;
@@ -38,21 +37,4 @@ fn throughput_search_orders_policies() {
     let af = max_throughput_with(&mk(Policy::AccelFlow), &services, 5.0, 3);
     let non = max_throughput_with(&mk(Policy::NonAcc), &services, 5.0, 3);
     assert!(af > non * 1.5, "AccelFlow {af} must beat Non-acc {non}");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
-fn speculative_search_matches_sequential() {
-    // The speculative parallel search must land on exactly the
-    // sequential result — same bracket, same bisection descent —
-    // because probes are pure. Compare the two algorithms directly
-    // (sweep::map degrades gracefully whatever the thread count).
-    let services = vec![socialnetwork::uniq_id()];
-    let mut cfg = machine_config(Policy::AccelFlow, Scale::quick());
-    cfg.arch.cores = 2;
-    cfg.arch.pes_per_accelerator = 1;
-    let prefix = probe_prefix(&cfg, &services, 3, true);
-    let seq = max_throughput_sequential(&prefix, &cfg, &services, 5.0, 3);
-    let spec = max_throughput_speculative(&prefix, &cfg, &services, 5.0, 3);
-    assert_eq!(seq, spec, "speculative search diverged from sequential");
 }
