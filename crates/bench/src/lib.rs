@@ -1,7 +1,8 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (see DESIGN.md §4 for the full index).
 //!
-//! Each `src/bin/` binary reproduces one table or figure and prints a
+//! The `experiments` binary (`src/bin/experiments/`) holds one registry
+//! entry per table or figure; `experiments <id>` prints its
 //! paper-vs-measured comparison. The simulator's benchmark is the
 //! separate `perfbench/` package (see `docs/BENCHMARKS.md`).
 //!
@@ -12,7 +13,7 @@
 //!   back in deterministic input order.
 //! - [`table`] — plain-text table rendering for experiment output.
 //! - [`paper`] — the numbers the paper reports, as constants, so every
-//!   binary can print paper-vs-measured side by side.
+//!   experiment can print paper-vs-measured side by side.
 
 #![warn(missing_docs)]
 

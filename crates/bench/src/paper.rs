@@ -1,6 +1,6 @@
 //! The numbers the paper reports, as constants.
 //!
-//! Every experiment binary prints these beside the measured values so
+//! Every experiment prints these beside the measured values so
 //! EXPERIMENTS.md can record paper-vs-measured for each table/figure.
 
 /// Fig 1 average execution-time shares on Non-acc (§III Q1), in the

@@ -455,7 +455,7 @@ impl Sampler {
 }
 
 /// Per-component aggregate of the captured spans (the latency-breakdown
-/// table of the `stats_profile` binary).
+/// table of `experiments stats_profile`).
 #[derive(Clone, Debug)]
 pub struct ComponentRow {
     /// The component.
@@ -768,8 +768,8 @@ fn micros(ps: u64) -> String {
 }
 
 // --------------------------------------------------------------------
-// Chrome-trace validation: the golden tests and the `stats_profile`
-// binary parse the export with [`crate::json`] to prove it is
+// Chrome-trace validation: the golden tests and
+// `experiments stats_profile` parse the export with [`crate::json`] to prove it is
 // schema-valid (the build environment has no serde to round-trip
 // through).
 
