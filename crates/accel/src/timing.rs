@@ -198,8 +198,10 @@ impl ServiceTimeModel {
     /// Compression shrinks the payload (~3×, typical for Zstd/Snappy on
     /// service data), decompression expands it back; serialization
     /// densifies slightly; framing and crypto are size-preserving; the
-    /// load balancer carries no payload.
-    pub fn output_bytes(&self, kind: AccelKind, input: u64) -> u64 {
+    /// load balancer carries no payload. The size depends on the kind
+    /// alone, so sampled programs derive it when read.
+    #[inline]
+    pub fn output_bytes(kind: AccelKind, input: u64) -> u64 {
         use AccelKind::*;
         match kind {
             Cmp => (input as f64 / 3.0).round().max(1.0) as u64,
@@ -289,14 +291,14 @@ mod tests {
 
     #[test]
     fn payload_size_transfer_functions() {
-        let m = model();
-        assert_eq!(m.output_bytes(Cmp, 3000), 1000);
-        assert_eq!(m.output_bytes(Dcmp, 1000), 3000);
-        assert_eq!(m.output_bytes(Tcp, 2048), 2048);
-        assert_eq!(m.output_bytes(Ldb, 2048), 2048);
-        assert!(m.output_bytes(Ser, 2048) < 2048);
-        assert!(m.output_bytes(Dser, 2048) > 2048);
-        assert_eq!(m.output_bytes(Cmp, 1), 1); // never rounds to zero
+        let out = ServiceTimeModel::output_bytes;
+        assert_eq!(out(Cmp, 3000), 1000);
+        assert_eq!(out(Dcmp, 1000), 3000);
+        assert_eq!(out(Tcp, 2048), 2048);
+        assert_eq!(out(Ldb, 2048), 2048);
+        assert!(out(Ser, 2048) < 2048);
+        assert!(out(Dser, 2048) > 2048);
+        assert_eq!(out(Cmp, 1), 1); // never rounds to zero
     }
 
     #[test]

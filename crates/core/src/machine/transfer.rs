@@ -116,7 +116,6 @@ impl MachineCtx {
             let call = self.req(addr.req).program.call(addr.step, addr.par);
             let seg = call.segment(addr.seg as usize);
             let hop = seg.hop(addr.hop as usize);
-            let is_last = addr.hop as usize + 1 == seg.hop_count();
             HopInfo {
                 kind: hop.kind,
                 out_bytes: hop.out_bytes,
@@ -124,11 +123,7 @@ impl MachineCtx {
                 branches_after: hop.branches_after,
                 transform_after: hop.transform_after,
                 fork_after: hop.fork_after,
-                next_kind: if is_last {
-                    None
-                } else {
-                    Some(seg.hop(addr.hop as usize + 1).kind)
-                },
+                next_kind: seg.kind(addr.hop as usize + 1),
                 end: seg.end,
                 has_next_segment: (addr.seg as usize + 1) < call.segment_count(),
             }

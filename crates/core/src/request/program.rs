@@ -7,41 +7,49 @@
 //! records, and [`Program::rebased`] hands the same records out at
 //! another buffer base.
 //!
-//! The records are three exact-size boxed slices, whatever the
-//! program's shape: its steps followed by its trace calls, in one slice
-//! of 16-byte records; its segments; and its hops, each in path order.
-//! Steps, calls and segments are small index records into the slice
-//! below them, so a [`CallAddr`] resolves to its hop by indexing flat
-//! slices, and a program owns at most four heap blocks: the shared
-//! header and its three slices. Segments refer to their trace through
-//! the library's shared `Arc`s — the way a queue entry refers to a
-//! trace resident in the ATM (paper §IV-A) — so sampling copies no
-//! trace.
+//! A program keeps only what sampling drew: each CPU step's cycles, the
+//! call structure, and for each segment its shape, entry size and
+//! external delay. The records are two exact-size boxed slices behind
+//! one shared header, whatever the program's shape: its steps followed
+//! by its trace calls, in one slice of 16-byte records, and its
+//! segments, 24 bytes each. So a program owns three heap blocks, and
+//! its size does not grow with its hop count.
+//!
+//! A segment's hops depend only on its trace, payload flags, entry and
+//! entry size, and sampling draws no number while it walks a trace. So
+//! the walk itself — each hop's accelerator, Position Mark and glue
+//! actions, how the segment ends and where it chains — is a shared
+//! shape, interned once per thread for each trace, flags and entry
+//! (`program/shape.rs`), and sampling a segment is one lookup. Shapes refer to
+//! the library's shared traces, the way a queue entry refers to a trace
+//! resident in the ATM (paper §IV-A), so sampling copies no trace.
 //!
 //! Nothing that a reader can derive is stored. A call's payload buffers
 //! sit at `base + (step << 20) + (par << 16)`, from the handle's base
-//! and the call's place. A hop's input size is the size the hop before
-//! it produced, or the segment's entry size for its first hop, so
-//! readers get each [`HopExec`] by value with `in_bytes` derived and a
-//! hop is stored in 16 bytes. Sampling walks the traces into one reused
-//! glue-action buffer, so it allocates only the program's own blocks.
+//! and the call's place. A hop's sizes and glue count are folded from
+//! its segment's entry size when read, with the arithmetic sampling
+//! used to store them: the accelerator's output size, each transform's
+//! ratio, then the glue count at the final size. Readers get each
+//! [`HopExec`] by value.
 
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
-use accelflow_accel::dispatcher::glue_instructions;
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
 use accelflow_sim::time::SimDuration;
-use accelflow_trace::atm::AtmAddr;
 use accelflow_trace::cond::PayloadFlags;
-use accelflow_trace::ir::{GlueAction, Next, PositionMark, Trace};
+use accelflow_trace::ir::{PositionMark, Trace};
 use accelflow_trace::kind::AccelKind;
 use accelflow_trace::templates::TraceLibrary;
 
 use super::{CallAddr, CallSpec, ServiceSpec, StageSpec};
+
+mod shape;
+
+use shape::{Shape, Shapes};
 
 /// A run of records in the slice below: `first..first + len`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,63 +102,17 @@ fn call_offset(step: usize, par: usize) -> u64 {
     ((step as u64) << 20).wrapping_add((par as u64) << 16)
 }
 
-/// A chain-free run of hops, and how it starts and ends.
+/// What sampling drew for one segment: the walk it takes, the payload
+/// size entering its first hop and, if it awaits a response, the
+/// remote delay.
 #[derive(Clone, Debug)]
 struct SegmentRec {
-    trace: Arc<Trace>,
-    flags: PayloadFlags,
-    entry_is_network: bool,
-    end: SegmentEnd,
-    /// Payload size entering the first hop.
+    shape: Arc<Shape>,
     entry_bytes: u64,
-    hops: Span,
+    external: SimDuration,
 }
 
-/// One stored accelerator visit: a [`HopExec`] without its input size,
-/// which is the previous hop's `out_bytes` (or the segment's
-/// `entry_bytes` for its first hop), and with its two flags in `bits`.
-#[derive(Clone, Copy, Debug)]
-struct HopRec {
-    out_bytes: u64,
-    glue_instrs: u32,
-    kind: AccelKind,
-    pm: PositionMark,
-    branches_after: u8,
-    /// [`HopRec::TRANSFORM`] and [`HopRec::FORK`].
-    bits: u8,
-}
-
-const _: () = assert!(std::mem::size_of::<HopRec>() == 16);
-
-impl HopRec {
-    const TRANSFORM: u8 = 1;
-    const FORK: u8 = 2;
-
-    fn store(hop: HopExec) -> Self {
-        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-        HopRec {
-            out_bytes: hop.out_bytes,
-            glue_instrs: hop.glue_instrs,
-            kind: hop.kind,
-            pm: hop.pm,
-            branches_after: hop.branches_after,
-            bits: flag(hop.transform_after, Self::TRANSFORM) | flag(hop.fork_after, Self::FORK),
-        }
-    }
-
-    fn view(self, in_bytes: u64) -> HopExec {
-        HopExec {
-            kind: self.kind,
-            pm: self.pm,
-            in_bytes,
-            out_bytes: self.out_bytes,
-            glue_instrs: self.glue_instrs,
-            branches_after: self.branches_after,
-            transform_after: self.bits & Self::TRANSFORM != 0,
-            fork_after: self.bits & Self::FORK != 0,
-        }
-    }
-}
+const _: () = assert!(std::mem::size_of::<SegmentRec>() == 24);
 
 /// One accelerator visit, as [`SegmentView::hop`] reads it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -209,12 +171,11 @@ struct Records {
     /// How many of `recs` are steps.
     steps: u32,
     segments: Box<[SegmentRec]>,
-    hops: Box<[HopRec]>,
     slo_slack: Option<f64>,
     priority: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<Records>() == 72);
+const _: () = assert!(std::mem::size_of::<Records>() == 56);
 
 impl Program {
     /// The same sampled records at buffer base `base`: the program a
@@ -252,7 +213,11 @@ impl Program {
     /// Total accelerator invocations on this request's resolved path
     /// (the `#` column of Table IV).
     pub fn accelerator_invocations(&self) -> usize {
-        self.records.hops.len()
+        self.records
+            .segments
+            .iter()
+            .map(|rec| rec.shape.hop_count())
+            .sum()
     }
 
     /// All trace calls, in path order.
@@ -273,11 +238,10 @@ impl Program {
 
     /// Every accelerator visit, in path order.
     pub fn hops(&self) -> impl Iterator<Item = HopExec> + '_ {
-        let records = &*self.records;
-        records
+        self.records
             .segments
             .iter()
-            .flat_map(|rec| view_segment(rec, &records.hops).hops())
+            .flat_map(|rec| view_segment(rec).hops())
     }
 
     /// Total app-logic cycles.
@@ -310,7 +274,6 @@ impl Program {
         CallView {
             vaddr: self.base.wrapping_add(call_offset(step, par)),
             segments: &records.segments[segments.range()],
-            hops: &records.hops,
         }
     }
 
@@ -331,8 +294,6 @@ impl Program {
 pub struct CallView<'a> {
     vaddr: u64,
     segments: &'a [SegmentRec],
-    /// The whole program's hops; segments index into them.
-    hops: &'a [HopRec],
 }
 
 impl<'a> CallView<'a> {
@@ -348,7 +309,7 @@ impl<'a> CallView<'a> {
 
     /// The `i`-th segment.
     pub fn segment(self, i: usize) -> SegmentView<'a> {
-        view_segment(&self.segments[i], self.hops)
+        view_segment(&self.segments[i])
     }
 
     /// The segments, chained in order.
@@ -371,57 +332,66 @@ pub struct SegmentView<'a> {
     /// What happens after the last hop.
     pub end: SegmentEnd,
     entry_bytes: u64,
-    hops: &'a [HopRec],
+    shape: &'a Shape,
 }
 
-fn view_segment<'a>(rec: &'a SegmentRec, hops: &'a [HopRec]) -> SegmentView<'a> {
+fn view_segment(rec: &SegmentRec) -> SegmentView<'_> {
+    let shape = &*rec.shape;
+    let end = match shape.end {
+        SegmentEnd::AwaitResponse { .. } => SegmentEnd::AwaitResponse {
+            external: rec.external,
+        },
+        end => end,
+    };
     SegmentView {
-        trace: &rec.trace,
-        flags: rec.flags,
-        entry_is_network: rec.entry_is_network,
-        end: rec.end,
+        trace: &shape.trace,
+        flags: shape.flags,
+        entry_is_network: shape.entry_is_network,
+        end,
         entry_bytes: rec.entry_bytes,
-        hops: &hops[rec.hops.range()],
+        shape,
     }
 }
 
 impl<'a> SegmentView<'a> {
     /// Number of accelerator visits.
     pub fn hop_count(self) -> usize {
-        self.hops.len()
+        self.shape.hop_count()
     }
 
-    /// The `i`-th accelerator visit.
+    /// The `i`-th accelerator visit. Its sizes fold from the segment's
+    /// entry size through the visits before it.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.hop_count()`.
     pub fn hop(self, i: usize) -> HopExec {
-        let in_bytes = match i {
-            0 => self.entry_bytes,
-            _ => self.hops[i - 1].out_bytes,
-        };
-        self.hops[i].view(in_bytes)
+        self.shape.hop(self.entry_bytes, i)
+    }
+
+    /// The accelerator of visit `i`, if the segment has one; it folds
+    /// no size.
+    pub(crate) fn kind(self, i: usize) -> Option<AccelKind> {
+        self.shape.kind(i)
     }
 
     /// The accelerator visits, in order.
     pub fn hops(self) -> impl ExactSizeIterator<Item = HopExec> + 'a {
-        (0..self.hops.len()).map(move |i| self.hop(i))
+        self.shape.hops(self.entry_bytes)
     }
 }
 
 /// Growable staging for one program. Sampling and snapshot loading
 /// fill it, then [`ProgramBuilder::finish`] moves the lists into the
 /// shared records' exact-size boxed slices, the calls (each its
-/// segment span) behind the steps. `actions` is the trace walks'
-/// glue-action buffer, reused across hops.
+/// segment span) behind the steps. `shapes` is this thread's interned
+/// walks.
 #[derive(Debug, Default)]
 struct ProgramBuilder {
     steps: Vec<Step>,
     calls: Vec<Span>,
     segments: Vec<SegmentRec>,
-    hops: Vec<HopRec>,
-    actions: Vec<GlueAction>,
+    shapes: Shapes,
 }
 
 thread_local! {
@@ -431,13 +401,13 @@ thread_local! {
 impl ProgramBuilder {
     /// Runs `f` on this thread's builder, emptied first. Its lists keep
     /// their capacity between programs, so building one allocates only
-    /// the program's own blocks.
+    /// the program's own blocks and the shapes of walks this thread has
+    /// not taken before.
     fn with<R>(f: impl FnOnce(&mut ProgramBuilder) -> R) -> R {
         SCRATCH.with_borrow_mut(|b| {
             b.steps.clear();
             b.calls.clear();
             b.segments.clear();
-            b.hops.clear();
             f(b)
         })
     }
@@ -470,22 +440,16 @@ impl ProgramBuilder {
                 recs,
                 steps: u32::try_from(steps).expect("program fits u32 indices"),
                 segments: self.segments.drain(..).collect(),
-                hops: self.hops.drain(..).collect(),
                 slo_slack,
                 priority,
             }),
         }
     }
 
-    /// Samples one trace call: resolves flags, walks the template
-    /// chain, and precomputes every hop's sizes and glue costs.
-    fn sample_call(
-        &mut self,
-        lib: &TraceLibrary,
-        timing: &ServiceTimeModel,
-        rng: &mut SimRng,
-        spec: &CallSpec,
-    ) {
+    /// Samples one trace call: resolves flags, follows the template
+    /// chain one interned walk per segment, and draws each segment's
+    /// entry size and external delay.
+    fn sample_call(&mut self, lib: &TraceLibrary, rng: &mut SimRng, spec: &CallSpec) {
         let flags = spec.flags.sample(rng);
         let (mut trace, mut entry_is_network) = match &spec.custom {
             Some(custom) => (custom, false),
@@ -500,15 +464,21 @@ impl ProgramBuilder {
         };
 
         let first_segment = self.segments.len();
-        let mut bytes = spec.payload.sample(rng);
+        let mut entry_bytes = spec.payload.sample(rng);
         // Bound chains defensively (T4→T5→T6→T7→... is the longest: 4).
         for _ in 0..8 {
-            let (end, chained) = self.sample_segment(timing, trace, flags, entry_is_network, bytes);
-            let Some(addr) = chained else { break };
+            let shape = self.shapes.intern(trace, flags, entry_is_network);
+            let chain = shape.chain;
+            let awaits = matches!(shape.end, SegmentEnd::AwaitResponse { .. });
+            self.segments.push(SegmentRec {
+                shape,
+                entry_bytes,
+                external: SimDuration::ZERO,
+            });
+            let Some(addr) = chain else { break };
             // A response segment starts from a fresh network payload.
-            let awaits = matches!(end, SegmentEnd::AwaitResponse { .. });
             if awaits {
-                bytes = spec.payload.sample(rng);
+                entry_bytes = spec.payload.sample(rng);
             }
             trace = lib
                 .atm()
@@ -516,88 +486,13 @@ impl ProgramBuilder {
                 .expect("chain target must be ATM-resident");
             entry_is_network = awaits;
         }
-        // Attach sampled external delays now that ends are known.
+        // Draw external delays now that ends are known.
         for segment in &mut self.segments[first_segment..] {
-            if let SegmentEnd::AwaitResponse { external } = &mut segment.end {
-                *external = spec.external.sample(rng);
+            if matches!(segment.shape.end, SegmentEnd::AwaitResponse { .. }) {
+                segment.external = spec.external.sample(rng);
             }
         }
         self.end_call(first_segment);
-    }
-
-    /// Resolves one segment of `trace` and pushes its hops. Returns how
-    /// the segment ends (external delays still zero) and its chain
-    /// target, if any.
-    fn sample_segment(
-        &mut self,
-        timing: &ServiceTimeModel,
-        trace: &Arc<Trace>,
-        flags: PayloadFlags,
-        entry_is_network: bool,
-        entry_bytes: u64,
-    ) -> (SegmentEnd, Option<AtmAddr>) {
-        let first_hop = self.hops.len();
-        let mut bytes = entry_bytes;
-        let mut next = trace.first_into(&flags, &mut self.actions);
-        let mut chained = None;
-        let end = loop {
-            match next {
-                Next::Invoke { kind, pm } => {
-                    let mut out_bytes = timing.output_bytes(kind, bytes);
-                    next = trace.advance_into(pm, &flags, &mut self.actions);
-                    let mut branches_after = 0u8;
-                    let mut transform_after = false;
-                    let mut fork_after = false;
-                    for action in &self.actions {
-                        match action {
-                            GlueAction::Branch { .. } => branches_after += 1,
-                            GlueAction::Transform(t) => {
-                                transform_after = true;
-                                out_bytes =
-                                    ((out_bytes as f64) * t.size_ratio()).round().max(1.0) as u64;
-                            }
-                            GlueAction::ForkToCpu => fork_after = true,
-                        }
-                    }
-                    self.hops.push(HopRec::store(HopExec {
-                        kind,
-                        pm,
-                        in_bytes: bytes,
-                        out_bytes,
-                        glue_instrs: glue_instructions(&self.actions, next, out_bytes),
-                        branches_after,
-                        transform_after,
-                        fork_after,
-                    }));
-                    bytes = out_bytes;
-                }
-                Next::ToCpu => break SegmentEnd::ToCpu,
-                Next::Chain(addr) => {
-                    chained = Some(addr);
-                    // Chains whose last hop sent a network message wait for
-                    // the response; split-subtrace chains continue at once.
-                    let waits = self.hops[first_hop..]
-                        .last()
-                        .is_some_and(|h| h.kind == AccelKind::Tcp);
-                    break if waits {
-                        SegmentEnd::AwaitResponse {
-                            external: SimDuration::ZERO,
-                        }
-                    } else {
-                        SegmentEnd::Continue
-                    };
-                }
-            }
-        };
-        self.segments.push(SegmentRec {
-            trace: Arc::clone(trace),
-            flags,
-            entry_is_network,
-            end,
-            entry_bytes,
-            hops: Span::new(first_hop..self.hops.len()),
-        });
-        (end, chained)
     }
 
     /// Reads one call in the wire form [`Program::save_call`] writes
@@ -606,40 +501,48 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Besides a malformed or truncated record, a hop whose input size
-    /// is not the previous hop's output size is corrupt: hop sizes
-    /// chain, and only the first is stored.
+    /// Besides a malformed or truncated record, a segment whose hops or
+    /// end are not what walking its trace under its flags from its
+    /// first hop's input size gives is corrupt: only the walk, the
+    /// entry size and the external delay are kept.
     fn load_call(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapshotError> {
         let first_segment = self.segments.len();
-        for _ in 0..r.seq_len()? {
+        for seg in 0..r.seq_len()? {
             let mut trace = Arc::<Trace>::load(r)?;
             if let Some(shared) = TraceLibrary::standard_shared(&trace) {
                 trace = Arc::clone(shared);
             }
             let flags = PayloadFlags::load(r)?;
-            let entry_is_network = r.bool()?;
-            let first_hop = self.hops.len();
+            let shape = self.shapes.intern(&trace, flags, r.bool()?);
+            let corrupt = |what: String| {
+                SnapshotError::Corrupt(format!("segment {seg} ({}): {what}", trace.name()))
+            };
+            let count = r.seq_len()?;
+            if count != shape.hop_count() {
+                let walk = shape.hop_count();
+                return Err(corrupt(format!("{count} hops, its walk has {walk}")));
+            }
             let mut entry_bytes = 0;
-            for i in 0..r.seq_len()? {
+            for i in 0..count {
                 let hop = HopExec::load(r)?;
                 if i == 0 {
                     entry_bytes = hop.in_bytes;
-                } else if hop.in_bytes != self.hops[self.hops.len() - 1].out_bytes {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "hop {i} takes {} bytes, not the previous hop's output",
-                        hop.in_bytes
-                    )));
                 }
-                self.hops.push(HopRec::store(hop));
+                if hop != shape.hop(entry_bytes, i) {
+                    return Err(corrupt(format!("hop {i} is not its walk's")));
+                }
             }
-            let end = SegmentEnd::load(r)?;
+            let external = match (SegmentEnd::load(r)?, shape.end) {
+                (SegmentEnd::AwaitResponse { external }, SegmentEnd::AwaitResponse { .. }) => {
+                    external
+                }
+                (end, walk) if end == walk => SimDuration::ZERO,
+                (end, walk) => return Err(corrupt(format!("ends {end:?}, its walk {walk:?}"))),
+            };
             self.segments.push(SegmentRec {
-                trace,
-                flags,
-                entry_is_network,
-                end,
+                shape,
                 entry_bytes,
-                hops: Span::new(first_hop..self.hops.len()),
+                external,
             });
         }
         self.end_call(first_segment);
@@ -649,11 +552,13 @@ impl ProgramBuilder {
 
 impl ServiceSpec {
     /// Samples a concrete program. `vaddr_base` gives the request its
-    /// own buffer addresses (drives the TLBs).
+    /// own buffer addresses (drives the TLBs). The program does not
+    /// depend on `timing`: hop sizes follow from accelerator kinds alone
+    /// ([`ServiceTimeModel::output_bytes`]) and are derived when read.
     pub fn sample(
         &self,
         lib: &TraceLibrary,
-        timing: &ServiceTimeModel,
+        _timing: &ServiceTimeModel,
         rng: &mut SimRng,
         vaddr_base: u64,
     ) -> Program {
@@ -665,12 +570,12 @@ impl ServiceSpec {
                         cycles: d.sample(rng),
                     }),
                     StageSpec::Call(c) => {
-                        b.sample_call(lib, timing, rng, c);
+                        b.sample_call(lib, rng, c);
                         b.end_calls(first_call, false);
                     }
                     StageSpec::Parallel(calls) => {
                         for c in calls {
-                            b.sample_call(lib, timing, rng, c);
+                            b.sample_call(lib, rng, c);
                         }
                         b.end_calls(first_call, true);
                     }
@@ -683,16 +588,17 @@ impl ServiceSpec {
 
 /// Samples one trace call on its own: a one-step program whose only
 /// step is the call, buffered at `vaddr` (read it back with
-/// [`Program::calls`]).
+/// [`Program::calls`]). Like [`ServiceSpec::sample`], it does not
+/// depend on `timing`.
 pub fn sample_call(
     lib: &TraceLibrary,
-    timing: &ServiceTimeModel,
+    _timing: &ServiceTimeModel,
     rng: &mut SimRng,
     spec: &CallSpec,
     vaddr: u64,
 ) -> Program {
     ProgramBuilder::with(|b| {
-        b.sample_call(lib, timing, rng, spec);
+        b.sample_call(lib, rng, spec);
         b.end_calls(0, false);
         b.finish(vaddr, None, 0)
     })
@@ -702,9 +608,10 @@ pub fn sample_call(
 //
 // The snapshot format predates the flat layout and nests calls inside
 // steps and hops inside segments, each list length-prefixed. It is
-// written here from the flat records, field for field, with each hop's
-// derived input size and each call's derived buffer address; loading
-// checks that those sizes chain and that the addresses sit on one base.
+// written here from the records, field for field, with each hop's
+// derived sizes and glue count and each call's derived buffer address;
+// loading checks that the hops are their trace's walk and that the
+// addresses sit on one base.
 
 accelflow_sim::impl_snapshot! {
     enum SegmentEnd { 0 => ToCpu, 1 => Continue, 2 => AwaitResponse { external } }

@@ -335,3 +335,52 @@ fn three_steps() -> ServiceSpec {
         ],
     )
 }
+
+#[test]
+fn one_walk_is_one_shared_shape() {
+    let (lib, timing, mut rng) = fixtures();
+    // Every flag drawn as 0 or 1, so every sample takes the same walks
+    // from its own payload and delay draws.
+    let spec = CallSpec::new(TemplateId::T4).with_flags(FlagProbs {
+        compressed: 0.0,
+        hit: 1.0,
+        found: 1.0,
+        exception: 0.0,
+        cache_compressed: 0.0,
+    });
+    let a = sample_call(&lib, &timing, &mut rng, &spec, 0);
+    let b = sample_call(&lib, &timing, &mut rng, &spec, 0);
+    let (ra, rb) = (&a.records.segments, &b.records.segments);
+    assert_eq!(ra.len(), 2, "T4 → T5");
+    for (sa, sb) in ra.iter().zip(rb.iter()) {
+        assert!(Arc::ptr_eq(&sa.shape, &sb.shape));
+    }
+    assert_ne!(ra[0].entry_bytes, rb[0].entry_bytes, "payloads are drawn");
+    // A segment's hops fold their sizes from its own entry size.
+    assert_eq!(only_call(&a).segment(0).hop(0).in_bytes, ra[0].entry_bytes);
+}
+
+#[test]
+fn load_rejects_a_glue_count_off_the_walk() {
+    let (lib, timing, mut rng) = fixtures();
+    let program = sample_call(&lib, &timing, &mut rng, &CallSpec::new(TemplateId::T1), 0);
+    let mut bytes = save_bytes(&program);
+    // Patch the saved glue count of hop 2, found by its encoding.
+    let hop = only_call(&program).segment(0).hop(2);
+    let (good, bad) = (
+        save_bytes(&hop),
+        save_bytes(&HopExec {
+            glue_instrs: hop.glue_instrs + 1,
+            ..hop
+        }),
+    );
+    let at = bytes
+        .windows(good.len())
+        .position(|w| w == good)
+        .expect("hop 2 is in the program's bytes");
+    bytes[at..at + bad.len()].copy_from_slice(&bad);
+    match Program::load(&mut SnapReader::new(&bytes)) {
+        Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("hop 2"), "{msg}"),
+        other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+    }
+}

@@ -76,15 +76,18 @@ impl Transform {
     /// Dispatcher glue instructions to orchestrate the transformation
     /// of `bytes` of payload (paper §VII-B2: "12 RISC instructions for
     /// 2KB payloads" — bulk load, DTE invocation, bulk store; larger
-    /// payloads repeat the bulk moves per 2 KB chunk).
+    /// payloads repeat the bulk moves per 2 KB chunk). Saturates at
+    /// `u32::MAX` for sizes no payload reaches.
+    #[inline]
     pub fn dispatcher_instructions(&self, bytes: u64) -> u32 {
-        let chunks = bytes.div_ceil(2048).max(1) as u32;
-        12 * chunks
+        let chunks = u32::try_from(bytes.div_ceil(2048).max(1)).unwrap_or(u32::MAX);
+        chunks.saturating_mul(12)
     }
 
     /// Size ratio of the output relative to the input. Text→binary
     /// densifies slightly; binary→text inflates; same-format is
     /// identity.
+    #[inline]
     pub fn size_ratio(&self) -> f64 {
         use DataFormat::*;
         let density = |f: DataFormat| match f {
