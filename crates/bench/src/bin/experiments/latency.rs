@@ -194,10 +194,7 @@ pub(crate) fn fig13_ablation(scale: Scale) {
 /// RELIEF, and AccelFlow.
 pub(crate) fn fig16_serverless(mut scale: Scale) {
     let functions = serverless::all();
-    scale.rps = std::env::var("ACCELFLOW_RPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3_500.0);
+    scale.rps = Scale::rps_from_env(3_500.0);
     let lib = TraceLibrary::standard();
     let timing =
         ServiceTimeModel::calibrated(accelflow_arch::config::ArchConfig::icelake().core_clock);

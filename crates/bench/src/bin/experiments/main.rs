@@ -5,7 +5,10 @@
 //! regenerates them. DESIGN.md §4 maps every id to the paper.
 //!
 //! The scale is read once from `ACCELFLOW_DURATION_MS`,
-//! `ACCELFLOW_RPS` and `ACCELFLOW_SEED` ([`Scale::from_env`]).
+//! `ACCELFLOW_RPS` and `ACCELFLOW_SEED` ([`Scale::from_env`]); a value
+//! that does not parse or that no run can use exits 2. Files an
+//! experiment writes land under the repository's `results/`, whatever
+//! the working directory.
 
 mod characterization;
 mod cluster;
@@ -16,6 +19,7 @@ mod robustness;
 mod throughput;
 
 use accelflow_bench::harness::Scale;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use Run::{Check, Gate, Print};
 
@@ -115,11 +119,19 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `rel` under the repository root, wherever the binary runs from:
+/// the files an experiment writes land beside the committed
+/// `results/`, while the paths it prints stay relative.
+pub(crate) fn repo_path(rel: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
+}
+
 #[cfg(test)]
 mod tests {
-    use super::{listed, Gate, EXPERIMENTS};
+    use super::{listed, repo_path, Gate, EXPERIMENTS};
     use std::collections::BTreeSet;
-    use std::path::Path;
 
     #[test]
     fn ids_are_unique() {
@@ -134,7 +146,7 @@ mod tests {
     /// has none.
     #[test]
     fn listed_ids_are_the_results_files() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let dir = repo_path("results");
         let files: BTreeSet<String> = std::fs::read_dir(&dir)
             .expect("results/ is readable")
             .map(|entry| entry.expect("results/ entry").path())

@@ -2,7 +2,7 @@
 //! telemetry trace export, the latency-over-time view and the CSV
 //! series for plotting.
 
-use crate::Failed;
+use crate::{repo_path, Failed};
 use accelflow_arch::config::CpuGeneration;
 use accelflow_bench::harness::{self, Scale};
 use accelflow_bench::paper;
@@ -154,7 +154,7 @@ fn print_profile(label: &str, path: &str, report: &RunReport) -> bool {
     let json = tel.chrome_trace();
     match validate_chrome_trace(&json) {
         Ok(summary) => {
-            if let Err(e) = std::fs::write(path, &json) {
+            if let Err(e) = fs::write(repo_path(path), &json) {
                 println!("  FAILED to write {path}: {e}");
                 return false;
             }
@@ -190,7 +190,7 @@ fn print_profile(label: &str, path: &str, report: &RunReport) -> bool {
 /// / `ACCELFLOW_RPS` / `ACCELFLOW_SEED` as usual.
 pub(crate) fn stats_profile(scale: Scale) -> Result<(), Failed> {
     let services = socialnetwork::all();
-    std::fs::create_dir_all("results").expect("create results/");
+    fs::create_dir_all(repo_path("results")).expect("create results/");
     let mut ok = true;
 
     // Fig 11 shape: shared bursty arrivals, AccelFlow.
@@ -285,8 +285,8 @@ pub(crate) fn diag_timeline(scale: Scale) {
 }
 
 fn write(path: &str, header: &str, rows: &[String]) {
-    fs::create_dir_all("results/csv").expect("create results/csv");
-    let mut f = fs::File::create(path).expect("create csv");
+    fs::create_dir_all(repo_path("results/csv")).expect("create results/csv");
+    let mut f = fs::File::create(repo_path(path)).expect("create csv");
     writeln!(f, "{header}").expect("write");
     for row in rows {
         writeln!(f, "{row}").expect("write");

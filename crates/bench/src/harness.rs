@@ -56,30 +56,56 @@ impl std::fmt::Display for EnvError {
 
 impl std::error::Error for EnvError {}
 
+fn env_var(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+fn exit_on(err: &EnvError) -> ! {
+    eprintln!("{err}");
+    std::process::exit(2)
+}
+
+/// Variable `name` parsed, or `None` when it is unset.
+fn parsed<T: std::str::FromStr>(
+    var: impl Fn(&str) -> Option<String>,
+    name: &'static str,
+    expected: &str,
+) -> Result<Option<T>, EnvError> {
+    var(name)
+        .map(|value| {
+            value.parse().map_err(|_| EnvError {
+                var: name,
+                value,
+                expected: expected.to_string(),
+            })
+        })
+        .transpose()
+}
+
 impl Scale {
     /// The default experiment scale; override with the environment
     /// variables `ACCELFLOW_DURATION_MS`, `ACCELFLOW_RPS`, and
-    /// `ACCELFLOW_SEED`. A value that does not parse is ignored; one
-    /// that parses but that no run can use ([`Scale::from_vars`]) ends
-    /// the process with a message naming the variable.
+    /// `ACCELFLOW_SEED`. A value that no run can use
+    /// ([`Scale::from_vars`]) ends the process with a message naming
+    /// the variable.
     pub fn from_env() -> Self {
-        Scale::from_vars(|var| std::env::var(var).ok()).unwrap_or_else(|err| {
-            eprintln!("{err}");
-            std::process::exit(2)
-        })
+        Scale::from_vars(env_var).unwrap_or_else(|err| exit_on(&err))
     }
 
     /// [`Scale::from_env`] over any lookup of the variables.
     ///
     /// # Errors
     ///
-    /// A duration above [`MAX_DURATION_MS`], whose simulated time
-    /// would overflow, and a rate that is negative or above
-    /// [`MAX_RATE_RPS`] (not finite included), whose gaps would not fit
-    /// simulated time's 1 ps tick.
+    /// A value that does not parse; a duration above
+    /// [`MAX_DURATION_MS`], whose simulated time would overflow; and a
+    /// rate that [`Scale::rps_from_vars`] rejects.
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
-        let parse = |name| var(name).and_then(|v| v.parse().ok());
-        let ms = parse("ACCELFLOW_DURATION_MS").unwrap_or(160u64);
+        let ms = parsed(
+            &var,
+            "ACCELFLOW_DURATION_MS",
+            "a whole number of milliseconds",
+        )?
+        .unwrap_or(160u64);
         if ms > MAX_DURATION_MS {
             return Err(EnvError {
                 var: "ACCELFLOW_DURATION_MS",
@@ -87,23 +113,46 @@ impl Scale {
                 expected: format!("at most {MAX_DURATION_MS} ms"),
             });
         }
-        let rps = var("ACCELFLOW_RPS")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(13_400.0f64);
-        if !(0.0..=MAX_RATE_RPS).contains(&rps) {
-            return Err(EnvError {
-                var: "ACCELFLOW_RPS",
-                value: rps.to_string(),
-                expected: format!("a rate from 0 to {MAX_RATE_RPS:e} requests/s"),
-            });
-        }
-        let seed = parse("ACCELFLOW_SEED").unwrap_or(42u64);
+        let rps = Scale::rps_from_vars(&var, 13_400.0)?;
+        let seed = parsed(&var, "ACCELFLOW_SEED", "an unsigned 64-bit integer")?.unwrap_or(42u64);
         Ok(Scale {
             duration: SimDuration::from_millis(ms),
             warmup: SimDuration::from_millis((ms / 8).max(2)),
             rps,
             seed,
         })
+    }
+
+    /// `ACCELFLOW_RPS` from the environment, or `default` when it is
+    /// unset, for an experiment whose default rate is not the scale's.
+    /// A value no run can use ends the process, as in
+    /// [`Scale::from_env`].
+    pub fn rps_from_env(default: f64) -> f64 {
+        Scale::rps_from_vars(env_var, default).unwrap_or_else(|err| exit_on(&err))
+    }
+
+    /// `ACCELFLOW_RPS` from `var`, or `default` when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse as a number, or one that is negative
+    /// or above [`MAX_RATE_RPS`] (not finite included), whose gaps
+    /// would not fit simulated time's 1 ps tick.
+    pub fn rps_from_vars(
+        var: impl Fn(&str) -> Option<String>,
+        default: f64,
+    ) -> Result<f64, EnvError> {
+        let expected = || format!("a rate from 0 to {MAX_RATE_RPS:e} requests/s");
+        let rps = parsed(&var, "ACCELFLOW_RPS", &expected())?.unwrap_or(default);
+        if (0.0..=MAX_RATE_RPS).contains(&rps) {
+            Ok(rps)
+        } else {
+            Err(EnvError {
+                var: "ACCELFLOW_RPS",
+                value: rps.to_string(),
+                expected: expected(),
+            })
+        }
     }
 
     /// A small scale for tests.
@@ -448,12 +497,53 @@ mod tests {
             let err = scale_with("ACCELFLOW_DURATION_MS", ms).unwrap_err();
             assert_eq!(err.var, "ACCELFLOW_DURATION_MS", "{ms}");
         }
-        // The bounds themselves, zero, and unparsed values are usable.
+        // The bounds themselves and zero are usable.
         let top = scale_with("ACCELFLOW_DURATION_MS", &MAX_DURATION_MS.to_string()).unwrap();
         assert_eq!(top.duration.as_picos(), MAX_DURATION_MS * 1_000_000_000);
         assert_eq!(scale_with("ACCELFLOW_RPS", "1e12").unwrap().rps, 1e12);
         assert_eq!(scale_with("ACCELFLOW_RPS", "0").unwrap().rps, 0.0);
-        assert_eq!(scale_with("ACCELFLOW_RPS", "abc").unwrap().rps, 13_400.0);
+    }
+
+    /// Asserts that `value` of `name` does not parse: an error naming
+    /// the variable and the value.
+    fn unparsable(name: &'static str, value: &str) {
+        let err = scale_with(name, value).unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), (name, value));
+        assert!(err
+            .to_string()
+            .starts_with(&format!("{name}={value}: expected ")));
+    }
+
+    #[test]
+    fn an_unparsable_duration_is_an_error() {
+        for ms in ["abc", "", "1.5", "-3", "18446744073709551616"] {
+            unparsable("ACCELFLOW_DURATION_MS", ms);
+        }
+    }
+
+    #[test]
+    fn an_unparsable_rate_is_an_error() {
+        for rps in ["abc", "", "1e", "4k"] {
+            unparsable("ACCELFLOW_RPS", rps);
+        }
+        // A rate with its own default parses the same way.
+        let with_default = |value: Option<&str>| {
+            Scale::rps_from_vars(
+                |var| value.filter(|_| var == "ACCELFLOW_RPS").map(String::from),
+                3_500.0,
+            )
+        };
+        assert!(with_default(Some("abc")).is_err());
+        assert_eq!(with_default(Some("900")), Ok(900.0));
+        assert_eq!(with_default(None), Ok(3_500.0));
+    }
+
+    #[test]
+    fn an_unparsable_seed_is_an_error() {
+        for seed in ["abc", "", "-1", "0x2a", "18446744073709551616"] {
+            unparsable("ACCELFLOW_SEED", seed);
+        }
+        assert_eq!(scale_with("ACCELFLOW_SEED", "9").unwrap().seed, 9);
     }
 }
 
