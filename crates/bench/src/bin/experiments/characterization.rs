@@ -3,7 +3,6 @@
 //! (Table III, §VI area), service composition (Table IV, Figs 1, 3, 5,
 //! §III Q2) and the dispatchers' glue instructions (§VII-B2).
 
-use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_arch::area::area_report;
 use accelflow_arch::config::ArchConfig;
 use accelflow_bench::harness::{self, Scale};
@@ -12,7 +11,6 @@ use accelflow_bench::table::{pct, Table};
 use accelflow_core::policy::Policy;
 use accelflow_core::request::ServiceSpec;
 use accelflow_sim::rng::SimRng;
-use accelflow_sim::time::Frequency;
 use accelflow_trace::cond::PayloadFlags;
 use accelflow_trace::ir::PathStep;
 use accelflow_trace::kind::AccelKind;
@@ -225,7 +223,6 @@ pub(crate) fn table03_params(_: Scale) {
 /// accelerators used per service invocation.
 pub(crate) fn table04_paths(_: Scale) {
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
     let paper = [87usize, 28, 18, 30, 29, 19, 9, 25];
     let mut t = Table::new(
         "Table IV: execution paths and accelerator counts",
@@ -236,7 +233,7 @@ pub(crate) fn table04_paths(_: Scale) {
         let n = 400;
         let total: usize = (0..n)
             .map(|i| {
-                svc.sample(&lib, &timing, &mut rng, (i as u64) << 32)
+                svc.sample(&lib, &mut rng, (i as u64) << 32)
                     .accelerator_invocations()
             })
             .sum();
@@ -414,13 +411,12 @@ pub(crate) fn fig03_overhead(mut scale: Scale) {
 /// accelerator, measured over sampled service programs.
 pub(crate) fn fig05_datasizes(_: Scale) {
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
     let mut rng = SimRng::seed(17);
     let mut ins: Vec<Vec<u64>> = vec![Vec::new(); AccelKind::COUNT];
     let mut outs: Vec<Vec<u64>> = vec![Vec::new(); AccelKind::COUNT];
     for svc in socialnetwork::all() {
         for i in 0..800u64 {
-            let p = svc.sample(&lib, &timing, &mut rng, i << 36);
+            let p = svc.sample(&lib, &mut rng, i << 36);
             for hop in p.hops() {
                 ins[hop.kind.id() as usize].push(hop.in_bytes);
                 outs[hop.kind.id() as usize].push(hop.out_bytes);
@@ -469,7 +465,6 @@ pub(crate) fn fig05_datasizes(_: Scale) {
 
 fn branch_stats(services: &[ServiceSpec]) -> (f64, usize) {
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
     let mut rng = SimRng::seed(1212);
     // A "sequence" is one trace call: the accelerators that run with
     // no intervening CPU involvement (chained response traces included,
@@ -477,7 +472,7 @@ fn branch_stats(services: &[ServiceSpec]) -> (f64, usize) {
     let (mut with, mut total, mut max_branches) = (0usize, 0usize, 0usize);
     for svc in services {
         for i in 0..400u64 {
-            let p = svc.sample(&lib, &timing, &mut rng, i << 36);
+            let p = svc.sample(&lib, &mut rng, i << 36);
             for c in p.calls() {
                 total += 1;
                 let branches: usize = c

@@ -3,7 +3,6 @@
 //! priority-scheduling extension.
 
 use accelflow_accel::dispatcher::QueuePolicy;
-use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_arch::config::CpuGeneration;
 use accelflow_bench::harness::{self, Scale};
 use accelflow_bench::table::{pct, Table};
@@ -196,8 +195,6 @@ pub(crate) fn fig16_serverless(mut scale: Scale) {
     let functions = serverless::all();
     scale.rps = Scale::rps_from_env(3_500.0);
     let lib = TraceLibrary::standard();
-    let timing =
-        ServiceTimeModel::calibrated(accelflow_arch::config::ArchConfig::icelake().core_clock);
     // Azure invocation rates are heavily skewed toward short functions
     // (most production functions run for milliseconds or less), so the
     // short functions get proportionally higher rates.
@@ -208,7 +205,6 @@ pub(crate) fn fig16_serverless(mut scale: Scale) {
         let sub = bursty_arrivals(
             std::slice::from_ref(f),
             &lib,
-            &timing,
             scale.rps * w,
             scale.duration,
             scale.seed + i as u64,

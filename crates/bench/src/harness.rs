@@ -5,7 +5,6 @@
 
 use std::cell::RefCell;
 
-use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_core::arrivals::{poisson_arrivals_with, Arrival, MAX_RATE_RPS};
 use accelflow_core::machine::{Machine, MachineConfig};
 use accelflow_core::policy::Policy;
@@ -56,17 +55,17 @@ impl std::fmt::Display for EnvError {
 
 impl std::error::Error for EnvError {}
 
-fn env_var(name: &str) -> Option<String> {
+pub(crate) fn env_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-fn exit_on(err: &EnvError) -> ! {
+pub(crate) fn exit_on(err: &EnvError) -> ! {
     eprintln!("{err}");
     std::process::exit(2)
 }
 
 /// Variable `name` parsed, or `None` when it is unset.
-fn parsed<T: std::str::FromStr>(
+pub(crate) fn parsed<T: std::str::FromStr>(
     var: impl Fn(&str) -> Option<String>,
     name: &'static str,
     expected: &str,
@@ -177,12 +176,9 @@ pub fn machine_config(policy: Policy, scale: Scale) -> MachineConfig {
 /// sees the same requests (common random numbers).
 pub fn shared_arrivals(services: &[ServiceSpec], scale: Scale) -> Vec<Arrival> {
     let lib = TraceLibrary::standard();
-    let timing =
-        ServiceTimeModel::calibrated(accelflow_arch::config::ArchConfig::icelake().core_clock);
     bursty_arrivals(
         services,
         &lib,
-        &timing,
         scale.rps,
         scale.duration,
         scale.seed,
@@ -286,7 +282,7 @@ pub fn max_throughput_with_mode(
 ) -> f64 {
     let prefix = probe_prefix(cfg, services, seed, warm);
     let unloaded = unloaded_p99s(cfg, services, seed);
-    let memo = ProgramMemo::new(cfg, services, seed);
+    let memo = ProgramMemo::new(services, seed);
     let probe = |rps: f64| meets_slo(&probe_report(&prefix, &memo, rps), &unloaded, slo_mult);
     let mut lo = SEARCH_FLOOR_RPS;
     if !probe(lo) {
@@ -350,8 +346,8 @@ fn probe_prefix(
 
 /// The programs one throughput search samples, kept so that every
 /// probe reuses them: service `i`'s `n`-th program, with the state of
-/// the service's stream that sampling it left, for one machine
-/// configuration, service mix and seed.
+/// the service's stream that sampling it left, for one service mix and
+/// seed.
 ///
 /// A probe's tail is a Poisson draw, which asks for the same programs
 /// from the same stream states at every rate (`accelflow_core::arrivals`
@@ -362,26 +358,23 @@ fn probe_prefix(
 pub struct ProgramMemo<'a> {
     services: &'a [ServiceSpec],
     lib: TraceLibrary,
-    timing: ServiceTimeModel,
     seed: u64,
     sampled: RefCell<Vec<Vec<(Program, SimRng)>>>,
 }
 
 impl<'a> ProgramMemo<'a> {
-    /// An empty memo for `services` under `cfg` at `seed`.
-    pub fn new(cfg: &MachineConfig, services: &'a [ServiceSpec], seed: u64) -> Self {
+    /// An empty memo for `services` at `seed`.
+    pub fn new(services: &'a [ServiceSpec], seed: u64) -> Self {
         ProgramMemo {
             services,
             lib: TraceLibrary::standard(),
-            timing: cfg.sampling_timing(),
             seed,
             sampled: RefCell::new(vec![Vec::new(); services.len()]),
         }
     }
 
-    /// `cfg.poisson_arrivals(services, rps, duration, seed)` for this
-    /// memo's configuration, services and seed, sampling only the
-    /// programs no earlier draw sampled.
+    /// [`MachineConfig::poisson_arrivals`] of this memo's services and
+    /// seed, sampling only the programs no earlier draw sampled.
     pub fn poisson_arrivals(&self, rps: f64, duration: SimDuration) -> Vec<Arrival> {
         poisson_arrivals_with(
             self.services,
@@ -403,7 +396,7 @@ impl<'a> ProgramMemo<'a> {
         // A draw asks for programs 0, 1, 2, … in turn, so the memo holds
         // every program before this one.
         assert_eq!(sampled.len(), n, "programs are asked for in order");
-        let program = self.services[service].sample(&self.lib, &self.timing, rng, base);
+        let program = self.services[service].sample(&self.lib, rng, base);
         sampled.push((program.clone(), rng.clone()));
         program
     }

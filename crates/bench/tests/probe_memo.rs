@@ -27,7 +27,7 @@ fn wire(arrivals: &Vec<Arrival>) -> Vec<u8> {
 /// Walks the bracket up, then down again over the filled memo.
 fn memo_matches_fresh_draws(services: &[ServiceSpec]) {
     let cfg = MachineConfig::new(Policy::AccelFlow);
-    let memo = ProgramMemo::new(&cfg, services, SEED);
+    let memo = ProgramMemo::new(services, SEED);
     let up = bracket();
     for &rps in up.iter().chain(up.iter().rev()) {
         let window = probe_window(rps);

@@ -14,7 +14,9 @@
 //! program sampler is its parameter: [`fresh_programs`] samples each
 //! program with [`ServiceSpec::sample`], and a memo may hand out
 //! programs it sampled before (the throughput search reuses one
-//! program stream across its probes).
+//! program stream across its probes). A program belongs to the
+//! workload: it follows from the service, the trace library and the
+//! stream alone, and the machine charges its time when it runs.
 //!
 //! Such a memo is exact for Poisson draws ([`poisson_arrivals_with`]):
 //! one segment and no thinning, so each gap is one
@@ -60,16 +62,16 @@ pub const MAX_RATE_RPS: f64 = 1e12;
 ///
 /// `rps_per_service` is the offered load of *each* service; a rate of
 /// zero or less, or above [`MAX_RATE_RPS`] (infinity included), yields
-/// no arrivals.
+/// no arrivals. `_timing` is ignored.
 pub fn poisson_arrivals(
     services: &[ServiceSpec],
     lib: &TraceLibrary,
-    timing: &ServiceTimeModel,
+    _timing: &ServiceTimeModel,
     rps_per_service: f64,
     duration: SimDuration,
     seed: u64,
 ) -> Vec<Arrival> {
-    let sample = fresh_programs(services, lib, timing);
+    let sample = fresh_programs(services, lib);
     poisson_arrivals_with(services, rps_per_service, duration, seed, sample)
 }
 
@@ -101,9 +103,8 @@ pub fn poisson_arrivals_with(
 pub fn fresh_programs<'a>(
     services: &'a [ServiceSpec],
     lib: &'a TraceLibrary,
-    timing: &'a ServiceTimeModel,
 ) -> impl FnMut(usize, u64, &mut SimRng, u64) -> Program + 'a {
-    move |service, _, rng, base| services[service].sample(lib, timing, rng, base)
+    move |service, _, rng, base| services[service].sample(lib, rng, base)
 }
 
 /// Draws the time-sorted arrival list of a service mix, each service `i`

@@ -82,7 +82,7 @@ use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::kind::AccelKind;
 use accelflow_trace::templates::TraceLibrary;
 
-use crate::arrivals::{poisson_arrivals, Arrival};
+use crate::arrivals::{fresh_programs, poisson_arrivals_with, Arrival};
 use crate::control::{ControlConfig, ControlState};
 use crate::faults::{FaultClass, FaultConfig, FaultState};
 use crate::policy::{Policy, Transition};
@@ -219,8 +219,7 @@ impl MachineConfig {
     }
 
     /// Poisson arrivals at `rps_per_service` for each service over
-    /// `duration`, sampled with this configuration's calibrated service
-    /// times and speedup scale (the [`Machine::run_workload`] and
+    /// `duration` (the [`Machine::run_workload`] and
     /// [`Cluster::run_workload`](crate::cluster::Cluster::run_workload)
     /// generator).
     pub fn poisson_arrivals(
@@ -231,16 +230,8 @@ impl MachineConfig {
         seed: u64,
     ) -> Vec<Arrival> {
         let lib = TraceLibrary::standard();
-        let timing = self.sampling_timing();
-        poisson_arrivals(services, &lib, &timing, rps_per_service, duration, seed)
-    }
-
-    /// The service times programs are sampled with: calibrated at the
-    /// core clock and scaled by the speedup scale.
-    pub fn sampling_timing(&self) -> ServiceTimeModel {
-        let mut timing = ServiceTimeModel::calibrated(self.arch.core_clock);
-        timing.set_speedup_scale(self.speedup_scale);
-        timing
+        let sample = fresh_programs(services, &lib);
+        poisson_arrivals_with(services, rps_per_service, duration, seed, sample)
     }
 }
 
@@ -368,7 +359,8 @@ impl Machine {
     pub fn new(cfg: MachineConfig, service_names: Vec<String>, end: SimTime, seed: u64) -> Self {
         cfg.arch.validate().expect("invalid architecture config");
         let row = cfg.policy.row();
-        let mut timing = cfg.sampling_timing();
+        let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
+        timing.set_speedup_scale(cfg.speedup_scale);
         timing.set_tax_speed_factor(cfg.arch.generation.tax_factor());
         let app_factor = cfg.arch.generation.app_logic_factor();
 

@@ -2,6 +2,7 @@
 //! chain straight over the machine's handlers.
 
 use super::*;
+use crate::arrivals::poisson_arrivals;
 use crate::request::{CallSpec, CyclesDist, StageSpec};
 use accelflow_sim::engine::EventQueue;
 use accelflow_trace::templates::TemplateId;

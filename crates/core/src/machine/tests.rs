@@ -2,6 +2,7 @@
 //! instance scaling, addressing, and accounting invariants.
 
 use super::*;
+use crate::arrivals::poisson_arrivals;
 use accelflow_sim::engine::EventQueue;
 
 mod runs {

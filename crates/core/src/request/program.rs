@@ -36,7 +36,6 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
-use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
 use accelflow_sim::time::SimDuration;
@@ -552,16 +551,9 @@ impl ProgramBuilder {
 
 impl ServiceSpec {
     /// Samples a concrete program. `vaddr_base` gives the request its
-    /// own buffer addresses (drives the TLBs). The program does not
-    /// depend on `timing`: hop sizes follow from accelerator kinds alone
-    /// ([`ServiceTimeModel::output_bytes`]) and are derived when read.
-    pub fn sample(
-        &self,
-        lib: &TraceLibrary,
-        _timing: &ServiceTimeModel,
-        rng: &mut SimRng,
-        vaddr_base: u64,
-    ) -> Program {
+    /// own buffer addresses (drives the TLBs). Hop sizes follow from
+    /// accelerator kinds alone and are derived when read.
+    pub fn sample(&self, lib: &TraceLibrary, rng: &mut SimRng, vaddr_base: u64) -> Program {
         ProgramBuilder::with(|b| {
             for stage in &self.stages {
                 let first_call = b.calls.len();
@@ -588,15 +580,8 @@ impl ServiceSpec {
 
 /// Samples one trace call on its own: a one-step program whose only
 /// step is the call, buffered at `vaddr` (read it back with
-/// [`Program::calls`]). Like [`ServiceSpec::sample`], it does not
-/// depend on `timing`.
-pub fn sample_call(
-    lib: &TraceLibrary,
-    _timing: &ServiceTimeModel,
-    rng: &mut SimRng,
-    spec: &CallSpec,
-    vaddr: u64,
-) -> Program {
+/// [`Program::calls`]).
+pub fn sample_call(lib: &TraceLibrary, rng: &mut SimRng, spec: &CallSpec, vaddr: u64) -> Program {
     ProgramBuilder::with(|b| {
         b.sample_call(lib, rng, spec);
         b.end_calls(0, false);

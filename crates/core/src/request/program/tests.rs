@@ -2,15 +2,10 @@
 
 use super::*;
 use crate::request::{CyclesDist, FlagProbs};
-use accelflow_sim::time::Frequency;
 use accelflow_trace::templates::TemplateId;
 
-fn fixtures() -> (TraceLibrary, ServiceTimeModel, SimRng) {
-    (
-        TraceLibrary::standard(),
-        ServiceTimeModel::calibrated(Frequency::from_ghz(2.4)),
-        SimRng::seed(42),
-    )
+fn fixtures() -> (TraceLibrary, SimRng) {
+    (TraceLibrary::standard(), SimRng::seed(42))
 }
 
 /// The only call of a [`sample_call`] program.
@@ -21,9 +16,9 @@ fn only_call(program: &Program) -> CallView<'_> {
 
 #[test]
 fn t1_call_has_single_segment() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let spec = CallSpec::new(TemplateId::T1);
-    let program = sample_call(&lib, &timing, &mut rng, &spec, 0x10000);
+    let program = sample_call(&lib, &mut rng, &spec, 0x10000);
     let call = only_call(&program);
     assert_eq!(call.segment_count(), 1);
     let seg = call.segment(0);
@@ -37,12 +32,12 @@ fn t1_call_has_single_segment() {
 
 #[test]
 fn t4_call_chains_through_responses() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let spec = CallSpec::new(TemplateId::T4).with_flags(FlagProbs {
         hit: 1.0, // always hits the DB cache
         ..FlagProbs::default()
     });
-    let program = sample_call(&lib, &timing, &mut rng, &spec, 0x10000);
+    let program = sample_call(&lib, &mut rng, &spec, 0x10000);
     let call = only_call(&program);
     // T4 (send) + T5 (response): two segments.
     assert_eq!(call.segment_count(), 2);
@@ -56,14 +51,14 @@ fn t4_call_chains_through_responses() {
 
 #[test]
 fn t4_miss_path_reaches_t6_and_t7() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let spec = CallSpec::new(TemplateId::T4).with_flags(FlagProbs {
         hit: 0.0,
         found: 1.0,
         exception: 0.0,
         ..FlagProbs::default()
     });
-    let program = sample_call(&lib, &timing, &mut rng, &spec, 0x10000);
+    let program = sample_call(&lib, &mut rng, &spec, 0x10000);
     let call = only_call(&program);
     // T4 → T5(miss→send to DB) → T6(found→write cache) → T7.
     assert_eq!(call.segment_count(), 4);
@@ -78,12 +73,12 @@ fn t4_miss_path_reaches_t6_and_t7() {
 
 #[test]
 fn error_chain_continues_immediately() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let spec = CallSpec::new(TemplateId::T8).with_flags(FlagProbs {
         exception: 1.0,
         ..FlagProbs::default()
     });
-    let program = sample_call(&lib, &timing, &mut rng, &spec, 0);
+    let program = sample_call(&lib, &mut rng, &spec, 0);
     let call = only_call(&program);
     // T8 (send) → T7 (response, exception) → error trace (immediate).
     assert_eq!(call.segment_count(), 3);
@@ -94,9 +89,9 @@ fn error_chain_continues_immediately() {
 
 #[test]
 fn payload_sizes_flow_through_hops() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let spec = CallSpec::new(TemplateId::T9).with_cmp_prob(1.0);
-    let program = sample_call(&lib, &timing, &mut rng, &spec, 0);
+    let program = sample_call(&lib, &mut rng, &spec, 0);
     let seg = only_call(&program).segment(0);
     assert_eq!(seg.hop(0).kind, AccelKind::Cmp);
     // Compression shrinks the payload ~3x before Ser.
@@ -109,10 +104,10 @@ fn payload_sizes_flow_through_hops() {
 
 #[test]
 fn glue_instructions_are_positive_and_bounded() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     for template in TemplateId::ALL {
         let spec = CallSpec::new(template);
-        let program = sample_call(&lib, &timing, &mut rng, &spec, 0);
+        let program = sample_call(&lib, &mut rng, &spec, 0);
         for hop in program.hops() {
             assert!(hop.glue_instrs >= 15, "{template}: {}", hop.glue_instrs);
             assert!(hop.glue_instrs <= 15 + 9 * 2 + 12 * 64 + 20, "{template}");
@@ -122,7 +117,7 @@ fn glue_instructions_are_positive_and_bounded() {
 
 #[test]
 fn program_counts_parallel_calls() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let svc = ServiceSpec::new(
         "toy",
         vec![
@@ -132,7 +127,7 @@ fn program_counts_parallel_calls() {
             StageSpec::Call(CallSpec::new(TemplateId::T2)),
         ],
     );
-    let program = svc.sample(&lib, &timing, &mut rng, 0);
+    let program = svc.sample(&lib, &mut rng, 0);
     assert_eq!(program.step_count(), 4);
     assert_eq!(program.calls().len(), 6);
     // T1 (≥5) + 4×(T9+T10: ≥9 each) + T2 (4) ≥ 45.
@@ -154,7 +149,7 @@ fn program_counts_parallel_calls() {
 
 #[test]
 fn call_addresses_resolve_to_their_hop() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let svc = ServiceSpec::new(
         "toy",
         vec![
@@ -163,7 +158,7 @@ fn call_addresses_resolve_to_their_hop() {
             StageSpec::Call(CallSpec::new(TemplateId::T9)),
         ],
     );
-    let program = svc.sample(&lib, &timing, &mut rng, 0);
+    let program = svc.sample(&lib, &mut rng, 0);
     // Walking every address in path order visits the flat hop slice
     // in order, each hop exactly once.
     let mut flat = program.hops();
@@ -192,10 +187,10 @@ fn call_addresses_resolve_to_their_hop() {
 
 #[test]
 fn sampling_is_deterministic_per_seed() {
-    let (lib, timing, _) = fixtures();
+    let (lib, _) = fixtures();
     let spec = CallSpec::new(TemplateId::T4);
-    let a = sample_call(&lib, &timing, &mut SimRng::seed(9), &spec, 0);
-    let b = sample_call(&lib, &timing, &mut SimRng::seed(9), &spec, 0);
+    let a = sample_call(&lib, &mut SimRng::seed(9), &spec, 0);
+    let b = sample_call(&lib, &mut SimRng::seed(9), &spec, 0);
     let (a, b) = (only_call(&a), only_call(&b));
     assert_eq!(a.segment_count(), b.segment_count());
     for (sa, sb) in a.segments().zip(b.segments()) {
@@ -208,7 +203,7 @@ fn sampling_is_deterministic_per_seed() {
 
 #[test]
 fn wire_form_round_trips() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let svc = ServiceSpec::new(
         "toy",
         vec![
@@ -218,7 +213,7 @@ fn wire_form_round_trips() {
             StageSpec::Parallel(vec![CallSpec::new(TemplateId::T8); 2]),
         ],
     );
-    let program = svc.sample(&lib, &timing, &mut rng, 0x4000);
+    let program = svc.sample(&lib, &mut rng, 0x4000);
     let mut w = SnapWriter::new();
     program.save(&mut w);
     let bytes = w.into_bytes();
@@ -239,8 +234,8 @@ fn save_bytes<T: Snapshot>(value: &T) -> Vec<u8> {
 
 #[test]
 fn load_rejects_hop_sizes_that_do_not_chain() {
-    let (lib, timing, mut rng) = fixtures();
-    let program = sample_call(&lib, &timing, &mut rng, &CallSpec::new(TemplateId::T1), 0);
+    let (lib, mut rng) = fixtures();
+    let program = sample_call(&lib, &mut rng, &CallSpec::new(TemplateId::T1), 0);
     let mut bytes = save_bytes(&program);
     // Patch the saved `in_bytes` of hop 1, found by its encoding.
     let hop = only_call(&program).segment(0).hop(1);
@@ -265,7 +260,7 @@ fn load_rejects_hop_sizes_that_do_not_chain() {
 #[test]
 fn load_shares_library_traces_and_keeps_custom_ones() {
     use accelflow_trace::ir::Slot;
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     let custom = Trace::new(
         "custom",
         vec![Slot::Accel(AccelKind::Ser), Slot::Accel(AccelKind::Cmp)],
@@ -277,7 +272,7 @@ fn load_shares_library_traces_and_keeps_custom_ones() {
             StageSpec::Call(CallSpec::custom(custom.clone())),
         ],
     );
-    let program = svc.sample(&lib, &timing, &mut rng, 0);
+    let program = svc.sample(&lib, &mut rng, 0);
     let bytes = save_bytes(&program);
     let back = Program::load(&mut SnapReader::new(&bytes)).unwrap();
     let mut calls = back.calls();
@@ -293,8 +288,8 @@ fn load_shares_library_traces_and_keeps_custom_ones() {
 
 #[test]
 fn a_clone_and_a_rebase_share_the_records() {
-    let (lib, timing, mut rng) = fixtures();
-    let program = three_steps().sample(&lib, &timing, &mut rng, 3 << 24);
+    let (lib, mut rng) = fixtures();
+    let program = three_steps().sample(&lib, &mut rng, 3 << 24);
     let copy = program.clone();
     assert!(Arc::ptr_eq(&copy.records, &program.records));
     let moved = program.rebased(5 << 24);
@@ -303,14 +298,14 @@ fn a_clone_and_a_rebase_share_the_records() {
         assert_eq!(b.vaddr() - a.vaddr(), 2 << 24);
     }
     // The rebased handle writes what sampling at its base writes.
-    let fresh = three_steps().sample(&lib, &timing, &mut SimRng::seed(42), 5 << 24);
+    let fresh = three_steps().sample(&lib, &mut SimRng::seed(42), 5 << 24);
     assert_eq!(save_bytes(&moved), save_bytes(&fresh));
 }
 
 #[test]
 fn load_rejects_a_call_off_its_programs_base() {
-    let (lib, timing, mut rng) = fixtures();
-    let program = three_steps().sample(&lib, &timing, &mut rng, 0x4000);
+    let (lib, mut rng) = fixtures();
+    let program = three_steps().sample(&lib, &mut rng, 0x4000);
     let mut bytes = save_bytes(&program);
     // The last call's address closes the record, before the slack
     // (one `None` byte) and the priority byte.
@@ -338,7 +333,7 @@ fn three_steps() -> ServiceSpec {
 
 #[test]
 fn one_walk_is_one_shared_shape() {
-    let (lib, timing, mut rng) = fixtures();
+    let (lib, mut rng) = fixtures();
     // Every flag drawn as 0 or 1, so every sample takes the same walks
     // from its own payload and delay draws.
     let spec = CallSpec::new(TemplateId::T4).with_flags(FlagProbs {
@@ -348,8 +343,8 @@ fn one_walk_is_one_shared_shape() {
         exception: 0.0,
         cache_compressed: 0.0,
     });
-    let a = sample_call(&lib, &timing, &mut rng, &spec, 0);
-    let b = sample_call(&lib, &timing, &mut rng, &spec, 0);
+    let a = sample_call(&lib, &mut rng, &spec, 0);
+    let b = sample_call(&lib, &mut rng, &spec, 0);
     let (ra, rb) = (&a.records.segments, &b.records.segments);
     assert_eq!(ra.len(), 2, "T4 → T5");
     for (sa, sb) in ra.iter().zip(rb.iter()) {
@@ -362,8 +357,8 @@ fn one_walk_is_one_shared_shape() {
 
 #[test]
 fn load_rejects_a_glue_count_off_the_walk() {
-    let (lib, timing, mut rng) = fixtures();
-    let program = sample_call(&lib, &timing, &mut rng, &CallSpec::new(TemplateId::T1), 0);
+    let (lib, mut rng) = fixtures();
+    let program = sample_call(&lib, &mut rng, &CallSpec::new(TemplateId::T1), 0);
     let mut bytes = save_bytes(&program);
     // Patch the saved glue count of hop 2, found by its encoding.
     let hop = only_call(&program).segment(0).hop(2);

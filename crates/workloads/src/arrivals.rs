@@ -11,7 +11,6 @@
 //! and its segments feed [`draw_arrivals`] directly, so each
 //! segment is an exact Poisson stream rather than a thinned one.
 
-use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_core::arrivals::{draw_arrivals, fresh_programs, Arrival};
 use accelflow_core::request::ServiceSpec;
 use accelflow_sim::rng::SimRng;
@@ -75,7 +74,6 @@ impl BurstyProfile {
 pub fn bursty_arrivals(
     services: &[ServiceSpec],
     lib: &TraceLibrary,
-    timing: &ServiceTimeModel,
     mean_rps: f64,
     duration: SimDuration,
     seed: u64,
@@ -84,7 +82,7 @@ pub fn bursty_arrivals(
     let mut master = SimRng::seed(seed);
     let timeline = CorrelatedBursts::draw("mmpp", profile, duration, &mut master.fork(0xB00));
     let bursts = &timeline.segments;
-    let sample = fresh_programs(services, lib, timing);
+    let sample = fresh_programs(services, lib);
     draw_arrivals(services, mean_rps, bursts, master, |_, _| true, sample)
 }
 
@@ -92,19 +90,11 @@ pub fn bursty_arrivals(
 mod tests {
     use super::*;
     use crate::socialnetwork;
-    use accelflow_sim::time::Frequency;
-
-    fn fixtures() -> (TraceLibrary, ServiceTimeModel) {
-        (
-            TraceLibrary::standard(),
-            ServiceTimeModel::calibrated(Frequency::from_ghz(2.4)),
-        )
-    }
 
     fn alibaba(services: &[ServiceSpec], rps: f64, dur: SimDuration, seed: u64) -> Vec<Arrival> {
-        let (lib, timing) = fixtures();
+        let lib = TraceLibrary::standard();
         let profile = BurstyProfile::alibaba_like();
-        bursty_arrivals(services, &lib, &timing, rps, dur, seed, &profile)
+        bursty_arrivals(services, &lib, rps, dur, seed, &profile)
     }
 
     #[test]
@@ -173,9 +163,12 @@ mod tests {
     #[test]
     fn every_generator_is_empty_at_a_zero_or_vanishing_rate() {
         use crate::openloop::{openloop_arrivals, Steady};
+        use accelflow_accel::timing::ServiceTimeModel;
         use accelflow_core::arrivals::poisson_arrivals;
+        use accelflow_sim::time::Frequency;
 
-        let (lib, timing) = fixtures();
+        let lib = TraceLibrary::standard();
+        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let services = socialnetwork::all();
         let dur = SimDuration::from_millis(50);
         // At 1e-9 rps a gap saturates `SimDuration`, so no instant may

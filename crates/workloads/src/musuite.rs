@@ -129,7 +129,7 @@ mod tests {
             let (mut tax, mut app) = (0.0, 0.0);
             for svc in services {
                 for i in 0..80u64 {
-                    let p = svc.sample(&lib, &timing, &mut rng, i << 36);
+                    let p = svc.sample(&lib, &mut rng, i << 36);
                     app += p.app_cycles();
                     for hop in p.hops() {
                         tax += timing.cpu_cycles(hop.kind, hop.in_bytes);
@@ -147,12 +147,11 @@ mod tests {
     #[test]
     fn router_is_the_smallest_service() {
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(2);
         let mut mean_hops = |svc: &ServiceSpec| {
             (0..50u64)
                 .map(|i| {
-                    svc.sample(&lib, &timing, &mut rng, i << 36)
+                    svc.sample(&lib, &mut rng, i << 36)
                         .accelerator_invocations()
                 })
                 .sum::<usize>() as f64

@@ -410,6 +410,7 @@ impl<A: ArrivalProcess, B: ArrivalProcess> ArrivalProcess for Modulated<A, B> {
 /// per-service streams off `seed ^ OPENLOOP_STREAM_SALT`.
 ///
 /// Byte-identical per `(process, services, mean_rps, duration, seed)`.
+/// `_timing` is ignored.
 ///
 /// # Panics
 ///
@@ -418,7 +419,7 @@ pub fn openloop_arrivals(
     process: &dyn ArrivalProcess,
     services: &[ServiceSpec],
     lib: &TraceLibrary,
-    timing: &ServiceTimeModel,
+    _timing: &ServiceTimeModel,
     mean_rps: f64,
     duration: SimDuration,
     seed: u64,
@@ -432,7 +433,7 @@ pub fn openloop_arrivals(
     // λ(t)/peak. The accept draw is consumed for every candidate, so the
     // kept instants do not depend on how loose the envelope is.
     let thin = |at, rng: &mut SimRng| rng.uniform() < (process.intensity(at) / peak).min(1.0);
-    let sample = fresh_programs(services, lib, timing);
+    let sample = fresh_programs(services, lib);
     draw_arrivals(services, mean_rps, &segments, master, thin, sample)
 }
 

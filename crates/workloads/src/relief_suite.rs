@@ -73,10 +73,9 @@ mod tests {
         let apps = all();
         assert_eq!(apps.len(), 6);
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(1);
         for (i, app) in apps.iter().enumerate() {
-            let p = app.sample(&lib, &timing, &mut rng, (i as u64) << 36);
+            let p = app.sample(&lib, &mut rng, (i as u64) << 36);
             let calls: Vec<_> = p.calls().collect();
             assert_eq!(calls.len(), 1, "{}", app.name);
             let seg = calls[0].segment(0);
@@ -96,7 +95,7 @@ mod tests {
         let lib = TraceLibrary::standard();
         let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(2);
-        let p = all()[0].sample(&lib, &timing, &mut rng, 0);
+        let p = all()[0].sample(&lib, &mut rng, 0);
         let call = p.calls().next().unwrap();
         for hop in call.segment(0).hops() {
             let t = timing.accel_time(hop.kind, hop.in_bytes);

@@ -146,12 +146,11 @@ mod tests {
     #[test]
     fn img_rot_is_the_shortest_function() {
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(2);
         let mut app_cycles = |svc: &ServiceSpec| {
             let mut total = 0.0;
             for i in 0..50u64 {
-                total += svc.sample(&lib, &timing, &mut rng, i << 36).app_cycles();
+                total += svc.sample(&lib, &mut rng, i << 36).app_cycles();
             }
             total / 50.0
         };
@@ -172,7 +171,7 @@ mod tests {
         let mut tax = 0.0;
         let mut app = 0.0;
         for i in 0..100u64 {
-            let p = svc.sample(&lib, &timing, &mut rng, i << 36);
+            let p = svc.sample(&lib, &mut rng, i << 36);
             app += p.app_cycles();
             for hop in p.hops() {
                 tax += timing.cpu_cycles(hop.kind, hop.in_bytes);

@@ -207,18 +207,15 @@ pub fn all() -> Vec<ServiceSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelflow_accel::timing::ServiceTimeModel;
     use accelflow_sim::rng::SimRng;
-    use accelflow_sim::time::Frequency;
     use accelflow_trace::templates::TraceLibrary;
 
     fn mean_invocations(svc: &ServiceSpec, n: usize) -> f64 {
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(1234);
         let total: usize = (0..n)
             .map(|i| {
-                svc.sample(&lib, &timing, &mut rng, (i as u64) << 32)
+                svc.sample(&lib, &mut rng, (i as u64) << 32)
                     .accelerator_invocations()
             })
             .sum();
@@ -288,13 +285,12 @@ mod tests {
         // §III Q2: 69.2% of SocialNetwork accelerator sequences have at
         // least one conditional.
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(7);
         let mut with_branch = 0usize;
         let mut total = 0usize;
         for svc in all() {
             for i in 0..50 {
-                let program = svc.sample(&lib, &timing, &mut rng, (i as u64) << 32);
+                let program = svc.sample(&lib, &mut rng, (i as u64) << 32);
                 for call in program.calls() {
                     for seg in call.segments() {
                         total += 1;

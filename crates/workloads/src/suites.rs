@@ -141,9 +141,7 @@ pub fn deathstarbench() -> Vec<ServiceSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelflow_accel::timing::ServiceTimeModel;
     use accelflow_sim::rng::SimRng;
-    use accelflow_sim::time::Frequency;
     use accelflow_trace::templates::TraceLibrary;
 
     #[test]
@@ -159,7 +157,6 @@ mod tests {
     #[test]
     fn media_uses_bigger_payloads_than_hotel() {
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         // Compare the entry payloads of each call (compression inside
         // a trace deliberately shrinks mid-trace hops).
         let avg_entry_bytes = |services: Vec<ServiceSpec>| {
@@ -168,7 +165,7 @@ mod tests {
             let mut calls = 0u64;
             for round in 0..20u64 {
                 for (i, svc) in services.iter().enumerate() {
-                    let p = svc.sample(&lib, &timing, &mut rng, (round * 64 + i as u64) << 40);
+                    let p = svc.sample(&lib, &mut rng, (round * 64 + i as u64) << 40);
                     for call in p.calls() {
                         total += call.segment(0).hop(0).in_bytes;
                         calls += 1;
@@ -187,13 +184,12 @@ mod tests {
         // §III Q2: Hotel 62.5%, Media 82.5% of sequences have ≥1
         // conditional — Media must be branchier than Hotel.
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let frac = |services: Vec<ServiceSpec>| {
             let mut rng = SimRng::seed(11);
             let (mut with, mut total) = (0usize, 0usize);
             for svc in &services {
                 for i in 0..80 {
-                    let p = svc.sample(&lib, &timing, &mut rng, (i as u64) << 36);
+                    let p = svc.sample(&lib, &mut rng, (i as u64) << 36);
                     for call in p.calls() {
                         for seg in call.segments() {
                             total += 1;

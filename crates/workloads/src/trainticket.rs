@@ -126,19 +126,16 @@ pub fn all() -> Vec<ServiceSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelflow_accel::timing::ServiceTimeModel;
     use accelflow_sim::rng::SimRng;
-    use accelflow_sim::time::Frequency;
     use accelflow_trace::templates::TraceLibrary;
 
     fn branch_fraction(services: &[ServiceSpec]) -> f64 {
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(21);
         let (mut with, mut total) = (0usize, 0usize);
         for svc in services {
             for i in 0..120u64 {
-                let p = svc.sample(&lib, &timing, &mut rng, i << 36);
+                let p = svc.sample(&lib, &mut rng, i << 36);
                 for c in p.calls() {
                     for seg in c.segments() {
                         total += 1;
@@ -174,14 +171,13 @@ mod tests {
     #[test]
     fn app_logic_is_heavier_than_socialnetwork() {
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let avg_app = |services: &[ServiceSpec]| {
             let mut rng = SimRng::seed(8);
             let mut total = 0.0;
             let mut n = 0usize;
             for svc in services {
                 for i in 0..60u64 {
-                    total += svc.sample(&lib, &timing, &mut rng, i << 36).app_cycles();
+                    total += svc.sample(&lib, &mut rng, i << 36).app_cycles();
                     n += 1;
                 }
             }

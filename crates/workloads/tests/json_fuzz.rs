@@ -13,14 +13,13 @@
 //! panic: whatever the loader accepts must stay within simulated
 //! time.
 
-use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_core::machine::{Machine, MachineConfig};
 use accelflow_core::policy::Policy;
 use accelflow_core::request::ServiceSpec;
 use accelflow_sim::json::{self, Value};
 use accelflow_sim::rng::SimRng;
 use accelflow_sim::telemetry::validate_chrome_trace;
-use accelflow_sim::time::{Frequency, SimDuration};
+use accelflow_sim::time::SimDuration;
 use accelflow_trace::templates::TraceLibrary;
 use accelflow_workloads::config::{load_services, save_services, ConfigError};
 use accelflow_workloads::socialnetwork;
@@ -58,10 +57,9 @@ fn check(text: &str) {
 /// Samples one program of each service.
 fn sample_each(services: &[ServiceSpec], seed: u64) {
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
     let mut rng = SimRng::seed(seed);
     for svc in services {
-        svc.sample(&lib, &timing, &mut rng, 0);
+        svc.sample(&lib, &mut rng, 0);
     }
 }
 

@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --release --example orchestrator_shootout`
 
-use accelflow::accel::timing::ServiceTimeModel;
-use accelflow::arch::config::ArchConfig;
 use accelflow::core::{Machine, MachineConfig, Policy};
 use accelflow::sim::SimDuration;
 use accelflow::trace::templates::TraceLibrary;
@@ -15,7 +13,6 @@ use accelflow::workloads::socialnetwork;
 fn main() {
     let services = socialnetwork::all();
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(ArchConfig::icelake().core_clock);
     let duration = SimDuration::from_millis(60);
 
     // One bursty arrival trace shared by every policy, so differences
@@ -23,7 +20,6 @@ fn main() {
     let arrivals = bursty_arrivals(
         &services,
         &lib,
-        &timing,
         13_400.0,
         duration,
         42,

@@ -18,11 +18,10 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use accelflow::accel::queue::TenantId;
-use accelflow::accel::timing::ServiceTimeModel;
 use accelflow::core::request::{CallSpec, FlagProbs, Program, ServiceSpec, StageSpec};
 use accelflow::core::{Arrival, ServiceId};
 use accelflow::sim::rng::SimRng;
-use accelflow::sim::time::{Frequency, SimTime};
+use accelflow::sim::time::SimTime;
 use accelflow::trace::ir::{Slot, Trace};
 use accelflow::trace::kind::AccelKind;
 use accelflow::trace::templates::{TemplateId, TraceLibrary};
@@ -109,13 +108,6 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, i64, i64, i64) {
     (out, a1 - a0, l1 - l0, b1 - b0)
 }
 
-fn fixtures() -> (TraceLibrary, ServiceTimeModel) {
-    (
-        TraceLibrary::standard(),
-        ServiceTimeModel::calibrated(Frequency::from_ghz(2.4)),
-    )
-}
-
 /// A T4 read that misses the DB cache and finds the record: T4 → T5 →
 /// T6 → T7, four chained segments.
 fn miss_chain() -> CallSpec {
@@ -149,24 +141,24 @@ fn budget_cases() -> Vec<ServiceSpec> {
 /// the sampler's reusable staging lists and intern the walks they take,
 /// so the same draws again cost only each program's own blocks.
 fn warm_up(cases: &[ServiceSpec], seed: u64) {
-    let (lib, timing) = fixtures();
+    let lib = TraceLibrary::standard();
     let mut rng = SimRng::seed(seed);
     for svc in cases {
         for i in 0..20u64 {
-            let _ = svc.sample(&lib, &timing, &mut rng, i << 24);
+            let _ = svc.sample(&lib, &mut rng, i << 24);
         }
     }
 }
 
 #[test]
 fn a_sampled_program_owns_at_most_three_blocks() {
-    let (lib, timing) = fixtures();
+    let lib = TraceLibrary::standard();
     let cases = budget_cases();
     warm_up(&cases, 3);
     let mut rng = SimRng::seed(3);
     for svc in cases {
         for i in 0..20u64 {
-            let (program, _, live, _) = counted(|| svc.sample(&lib, &timing, &mut rng, i << 24));
+            let (program, _, live, _) = counted(|| svc.sample(&lib, &mut rng, i << 24));
             assert!(
                 live <= BLOCKS,
                 "{}: a sampled program holds {live} heap blocks",
@@ -180,14 +172,13 @@ fn a_sampled_program_owns_at_most_three_blocks() {
 
 #[test]
 fn sampling_allocates_only_what_it_keeps() {
-    let (lib, timing) = fixtures();
+    let lib = TraceLibrary::standard();
     let cases = budget_cases();
     warm_up(&cases, 13);
     let mut rng = SimRng::seed(13);
     for svc in &cases {
         for i in 0..20u64 {
-            let (program, allocs, live, bytes) =
-                counted(|| svc.sample(&lib, &timing, &mut rng, i << 24));
+            let (program, allocs, live, bytes) = counted(|| svc.sample(&lib, &mut rng, i << 24));
             assert_eq!(
                 allocs, live,
                 "{}: sampling made {allocs} allocations but keeps {live} blocks",
@@ -209,26 +200,26 @@ fn sampling_allocates_only_what_it_keeps() {
 
 #[test]
 fn budget_cases_reach_their_shapes() {
-    let (lib, timing) = fixtures();
+    let lib = TraceLibrary::standard();
     let mut rng = SimRng::seed(5);
     let cases = budget_cases();
-    let fan_out = cases[cases.len() - 2].sample(&lib, &timing, &mut rng, 0);
+    let fan_out = cases[cases.len() - 2].sample(&lib, &mut rng, 0);
     assert_eq!(fan_out.calls().len(), 10, "T1, eight T9 arms, T2");
-    let chain = cases[cases.len() - 1].sample(&lib, &timing, &mut rng, 0);
+    let chain = cases[cases.len() - 1].sample(&lib, &mut rng, 0);
     let call = chain.calls().next().expect("one call");
     assert_eq!(call.segment_count(), 4, "T4 → T5 → T6 → T7");
 }
 
 #[test]
 fn cloning_an_arrival_allocates_nothing() {
-    let (lib, timing) = fixtures();
+    let lib = TraceLibrary::standard();
     let mut rng = SimRng::seed(7);
     for svc in budget_cases() {
         let arrival = Arrival {
             at: SimTime::ZERO,
             service: ServiceId(0),
             tenant: TenantId(0),
-            program: svc.sample(&lib, &timing, &mut rng, 0),
+            program: svc.sample(&lib, &mut rng, 0),
         };
         let (copy, allocs, _, _) = counted(|| arrival.clone());
         assert_eq!(allocs, 0, "{}: clone made {allocs} allocations", svc.name);
@@ -246,9 +237,8 @@ fn segment_traces(program: &Program) -> Vec<Arc<Trace>> {
 }
 
 fn sample_one(lib: &TraceLibrary, spec: CallSpec) -> Program {
-    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
     let svc = ServiceSpec::new("one", vec![StageSpec::Call(spec)]);
-    svc.sample(lib, &timing, &mut SimRng::seed(11), 0)
+    svc.sample(lib, &mut SimRng::seed(11), 0)
 }
 
 #[test]
@@ -292,7 +282,7 @@ fn sampled_segments_share_the_library_traces() {
 fn one_walk_is_one_shape_and_hops_cost_no_bytes() {
     // A fresh thread has interned no walk.
     std::thread::spawn(|| {
-        let (lib, timing) = fixtures();
+        let lib = TraceLibrary::standard();
         let t1 = |compressed: f64| {
             let spec = CallSpec::new(TemplateId::T1).with_flags(FlagProbs {
                 compressed,
@@ -301,8 +291,7 @@ fn one_walk_is_one_shape_and_hops_cost_no_bytes() {
             ServiceSpec::new("t1", vec![StageSpec::Call(spec)])
         };
         // One seed draws the same flags each time.
-        let sample =
-            |svc: &ServiceSpec| counted(|| svc.sample(&lib, &timing, &mut SimRng::seed(1), 0));
+        let sample = |svc: &ServiceSpec| counted(|| svc.sample(&lib, &mut SimRng::seed(1), 0));
         // The first T1 walk allocates its shape as well as the program;
         // a second program over the same trace and flags allocates only
         // its own blocks.
@@ -329,11 +318,11 @@ fn walks_no_program_holds_are_dropped() {
     // Each sample walks a fresh custom trace, as programs decoded from
     // snapshots or loaded from config do: every walk is a new shape.
     std::thread::spawn(|| {
-        let (lib, timing) = fixtures();
+        let lib = TraceLibrary::standard();
         let sample_fresh = || {
             let trace = Trace::new("fresh", vec![Slot::Accel(AccelKind::Ser)]);
             let svc = ServiceSpec::new("fresh", vec![StageSpec::Call(CallSpec::custom(trace))]);
-            drop(svc.sample(&lib, &timing, &mut SimRng::seed(1), 0));
+            drop(svc.sample(&lib, &mut SimRng::seed(1), 0));
         };
         let ((), _, _, first) = counted(|| (0..1_000).for_each(|_| sample_fresh()));
         assert!(first > 0, "a thread keeps the shapes it walked");

@@ -52,13 +52,10 @@ fn fig1_breakdown_matches_paper_within_tolerance() {
 /// Table IV: accelerator invocations per service (±20%).
 #[test]
 fn table_iv_invocation_counts() {
-    use accelflow::accel::timing::ServiceTimeModel;
     use accelflow::sim::rng::SimRng;
-    use accelflow::sim::time::Frequency;
     use accelflow::trace::templates::TraceLibrary;
 
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
     let mut rng = SimRng::seed(99);
     let paper = [
         ("CPost", 87.0),
@@ -75,7 +72,7 @@ fn table_iv_invocation_counts() {
         let n = 200;
         let got: f64 = (0..n)
             .map(|i| {
-                svc.sample(&lib, &timing, &mut rng, (i as u64) << 32)
+                svc.sample(&lib, &mut rng, (i as u64) << 32)
                     .accelerator_invocations() as f64
             })
             .sum::<f64>()
@@ -91,18 +88,15 @@ fn table_iv_invocation_counts() {
 /// branch (the paper reports 69.2% for SocialNetwork).
 #[test]
 fn branchy_sequence_fraction() {
-    use accelflow::accel::timing::ServiceTimeModel;
     use accelflow::sim::rng::SimRng;
-    use accelflow::sim::time::Frequency;
     use accelflow::trace::templates::TraceLibrary;
 
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
     let mut rng = SimRng::seed(5);
     let (mut with, mut total) = (0usize, 0usize);
     for svc in socialnetwork::all() {
         for i in 0..60u64 {
-            let p = svc.sample(&lib, &timing, &mut rng, i << 36);
+            let p = svc.sample(&lib, &mut rng, i << 36);
             for call in p.calls() {
                 for seg in call.segments() {
                     total += 1;

@@ -1,8 +1,6 @@
 //! Cross-crate integration tests of the orchestration policies: the
 //! paper's qualitative results must hold at test scale.
 
-use accelflow::accel::timing::ServiceTimeModel;
-use accelflow::arch::config::ArchConfig;
 use accelflow::core::{Machine, MachineConfig, Policy};
 use accelflow::sim::SimDuration;
 use accelflow::trace::templates::TraceLibrary;
@@ -19,11 +17,9 @@ fn services() -> Vec<accelflow::core::ServiceSpec> {
 
 fn shared_arrivals(rps: f64, ms: u64) -> Vec<accelflow::core::Arrival> {
     let lib = TraceLibrary::standard();
-    let timing = ServiceTimeModel::calibrated(ArchConfig::icelake().core_clock);
     bursty_arrivals(
         &services(),
         &lib,
-        &timing,
         rps,
         SimDuration::from_millis(ms),
         77,

@@ -38,11 +38,10 @@ fn window() -> SimDuration {
     SimDuration::from_millis(6)
 }
 
-fn fixtures() -> (MachineConfig, TraceLibrary, ServiceTimeModel) {
+fn fixtures() -> (TraceLibrary, ServiceTimeModel) {
     let cfg = MachineConfig::new(Policy::AccelFlow);
-    let mut timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
-    timing.set_speedup_scale(cfg.speedup_scale);
-    (cfg, TraceLibrary::standard(), timing)
+    let timing = ServiceTimeModel::calibrated(cfg.arch.core_clock);
+    (TraceLibrary::standard(), timing)
 }
 
 /// Hashes the wire form of `arrivals` and checks it against
@@ -68,7 +67,7 @@ fn pin(name: &str, arrivals: Vec<Arrival>, expected: u64) {
 
 #[test]
 fn poisson_programs_are_pinned() {
-    let (_, lib, timing) = fixtures();
+    let (lib, timing) = fixtures();
     let arrivals = poisson_arrivals(&socialnetwork::all(), &lib, &timing, RPS, window(), SEED);
     pin("poisson", arrivals, 0x21cd_2cc2_a82d_5a5b);
 }
@@ -81,7 +80,7 @@ fn bursty_programs_are_pinned() {
 
 #[test]
 fn diurnal_programs_are_pinned() {
-    let (_, lib, timing) = fixtures();
+    let (lib, timing) = fixtures();
     let arrivals = openloop_arrivals(
         &Diurnal::day(window(), 0.8),
         &socialnetwork::all(),
@@ -96,17 +95,9 @@ fn diurnal_programs_are_pinned() {
 
 /// Bursty arrivals at `rps` over `ms` milliseconds under `profile`.
 fn bursty(profile: &BurstyProfile, rps: f64, ms: u64) -> Vec<Arrival> {
-    let (_, lib, timing) = fixtures();
+    let lib = TraceLibrary::standard();
     let duration = SimDuration::from_millis(ms);
-    bursty_arrivals(
-        &socialnetwork::all(),
-        &lib,
-        &timing,
-        rps,
-        duration,
-        SEED,
-        profile,
-    )
+    bursty_arrivals(&socialnetwork::all(), &lib, rps, duration, SEED, profile)
 }
 
 #[test]
@@ -125,7 +116,7 @@ fn long_azure_programs_are_pinned() {
 
 /// Open-loop arrivals at 400 rps over `duration` under `process`.
 fn openloop(process: &dyn ArrivalProcess, duration: SimDuration) -> Vec<Arrival> {
-    let (_, lib, timing) = fixtures();
+    let (lib, timing) = fixtures();
     let services = socialnetwork::all();
     openloop_arrivals(process, &services, &lib, &timing, 400.0, duration, SEED)
 }

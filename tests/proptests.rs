@@ -263,7 +263,6 @@ fn accelerator_ids_unique() {
 
 mod workload_properties {
     use super::*;
-    use accelflow::accel::timing::ServiceTimeModel;
     use accelflow::core::request::{sample_call, CallSpec, SegmentEnd};
     use accelflow::trace::templates::{TemplateId, TraceLibrary};
 
@@ -274,7 +273,6 @@ mod workload_properties {
     #[test]
     fn sampled_calls_are_well_formed() {
         let lib = TraceLibrary::standard();
-        let timing = ServiceTimeModel::calibrated(Frequency::from_ghz(2.4));
         let mut rng = SimRng::seed(0x3AB);
         for case in 0..CASES {
             let template = TemplateId::ALL[rng.index(12)];
@@ -288,7 +286,7 @@ mod workload_properties {
             spec.payload = accelflow::core::request::SizeDist::new(median, 0.6, 1 << 20);
             spec.flags.compressed = compressed;
             spec.flags.hit = hit;
-            let program = sample_call(&lib, &timing, &mut call_rng, &spec, 0x4200_0000);
+            let program = sample_call(&lib, &mut call_rng, &spec, 0x4200_0000);
             let call = program.calls().next().expect("one call");
 
             assert!(call.segment_count() > 0, "case {case}");
