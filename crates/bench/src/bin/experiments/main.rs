@@ -5,8 +5,10 @@
 //! regenerates them. DESIGN.md §4 maps every id to the paper.
 //!
 //! The scale is read once from `ACCELFLOW_DURATION_MS`,
-//! `ACCELFLOW_RPS` and `ACCELFLOW_SEED` ([`Scale::from_env`]); a value
-//! that does not parse or that no run can use exits 2. Files an
+//! `ACCELFLOW_RPS` and `ACCELFLOW_SEED` ([`Scale::from_env`]), and the
+//! sweep knobs `ACCELFLOW_THREADS`, `ACCELFLOW_SHARDS` and
+//! `ACCELFLOW_SHARD_INDEX` are checked before any run; a value that
+//! does not parse or that no run can use exits 2. Files an
 //! experiment writes land under the repository's `results/`, whatever
 //! the working directory.
 
@@ -19,6 +21,7 @@ mod robustness;
 mod throughput;
 
 use accelflow_bench::harness::Scale;
+use accelflow_bench::sweep;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use Run::{Check, Gate, Print};
@@ -108,6 +111,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let scale = Scale::from_env();
+    sweep::parallelism();
+    sweep::Shard::from_env();
     match run {
         Print(run) => run(scale),
         Check(run) | Gate(run) => {

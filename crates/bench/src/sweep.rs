@@ -46,6 +46,8 @@ use accelflow_core::stats::RunReport;
 use accelflow_core::Arrival;
 use accelflow_sim::time::{SimDuration, SimTime};
 
+use crate::harness::{env_var, exit_on, parsed, EnvError};
+
 /// The no-op event observer warm-start forks run under (a fn pointer,
 /// so restore-vs-replay arms share one [`MachineRun`] type).
 type NoObserve = fn(SimTime, &Ev);
@@ -57,15 +59,21 @@ thread_local! {
     static IN_SWEEP: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The sweep's worker-thread budget: `ACCELFLOW_THREADS` if set (values
-/// below 1 are treated as 1), else the machine's available parallelism.
+/// The sweep's worker-thread budget: `ACCELFLOW_THREADS` if set (0 is
+/// treated as 1), else the machine's available parallelism. A value
+/// that does not parse as a whole number ends the process with a
+/// message naming the variable.
 pub fn parallelism() -> usize {
-    match std::env::var("ACCELFLOW_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    threads_from_vars(env_var).unwrap_or_else(|err| exit_on(&err))
+}
+
+/// [`parallelism`] over any lookup of the variables.
+fn threads_from_vars(var: impl Fn(&str) -> Option<String>) -> Result<usize, EnvError> {
+    let threads = parsed(var, "ACCELFLOW_THREADS", "a whole number of threads")?;
+    Ok(threads.map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |n: usize| n.max(1),
+    ))
 }
 
 /// Whether the current thread is already inside a sweep worker.
@@ -157,29 +165,31 @@ impl Shard {
         Shard { count: 1, index: 0 }
     }
 
-    /// Reads `ACCELFLOW_SHARDS` (total processes, default 1; values
-    /// below 1 are treated as 1) and `ACCELFLOW_SHARD_INDEX` (this
-    /// process, default 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index is not below the count — a misconfigured
-    /// launcher must fail loudly, not silently compute nothing.
+    /// Reads `ACCELFLOW_SHARDS` (total processes, default 1; 0 is
+    /// treated as 1) and `ACCELFLOW_SHARD_INDEX` (this process, default
+    /// 0). A count or index that does not parse as a whole number, or
+    /// an index not below the count, ends the process with a message
+    /// naming the variable: a misconfigured launcher must fail loudly,
+    /// not run the whole grid or compute nothing.
     pub fn from_env() -> Self {
-        let count = std::env::var("ACCELFLOW_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1)
+        Shard::from_vars(env_var).unwrap_or_else(|err| exit_on(&err))
+    }
+
+    /// [`Shard::from_env`] over any lookup of the variables.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
+        let count = parsed(&var, "ACCELFLOW_SHARDS", "a whole number of processes")?
+            .unwrap_or(1usize)
             .max(1);
-        let index = std::env::var("ACCELFLOW_SHARD_INDEX")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        assert!(
-            index < count,
-            "ACCELFLOW_SHARD_INDEX={index} must be below ACCELFLOW_SHARDS={count}"
-        );
-        Shard { count, index }
+        let expected = format!("a whole number below ACCELFLOW_SHARDS={count}");
+        let index = parsed(&var, "ACCELFLOW_SHARD_INDEX", &expected)?.unwrap_or(0usize);
+        if index >= count {
+            return Err(EnvError {
+                var: "ACCELFLOW_SHARD_INDEX",
+                value: index.to_string(),
+                expected,
+            });
+        }
+        Ok(Shard { count, index })
     }
 
     /// Whether this process owns the entire grid (no sharding).
@@ -440,11 +450,41 @@ mod tests {
         });
     }
 
+    /// A lookup of the variables in `pairs`.
+    fn vars<'a>(pairs: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            let value = pairs.iter().find(|(k, _)| *k == name);
+            value.map(|(_, v)| v.to_string())
+        }
+    }
+
+    /// Asserts that `result` is an error naming `name` and `value`.
+    fn rejects<T: std::fmt::Debug>(result: Result<T, EnvError>, name: &str, value: &str) {
+        let err = result.unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), (name, value));
+        assert!(err
+            .to_string()
+            .starts_with(&format!("{name}={value}: expected ")));
+    }
+
     #[test]
     fn env_parsing_clamps_to_one() {
-        with_threads("0", || assert_eq!(parallelism(), 1));
-        with_threads("garbage", || assert_eq!(parallelism(), 1));
-        with_threads("3", || assert_eq!(parallelism(), 3));
+        let threads = |n| threads_from_vars(vars(&[("ACCELFLOW_THREADS", n)]));
+        assert_eq!(threads("0"), Ok(1));
+        assert_eq!(threads("3"), Ok(3));
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(threads_from_vars(vars(&[])), Ok(available));
+    }
+
+    #[test]
+    fn an_unparsable_thread_count_is_an_error() {
+        for n in ["abc", "garbage", "-1", "", "1.5", "2x"] {
+            rejects(
+                threads_from_vars(vars(&[("ACCELFLOW_THREADS", n)])),
+                "ACCELFLOW_THREADS",
+                n,
+            );
+        }
     }
 
     #[test]
@@ -469,30 +509,40 @@ mod tests {
 
     #[test]
     fn shard_env_defaults_and_validates() {
-        with_env(
-            &[("ACCELFLOW_SHARDS", "3"), ("ACCELFLOW_SHARD_INDEX", "2")],
-            || {
-                assert_eq!(Shard::from_env(), Shard { count: 3, index: 2 });
-            },
-        );
-        with_env(
-            &[("ACCELFLOW_SHARDS", "0"), ("ACCELFLOW_SHARD_INDEX", "0")],
-            || {
-                assert!(Shard::from_env().is_whole(), "count clamps up to 1");
-            },
-        );
+        let shard = |count, index| {
+            Shard::from_vars(vars(&[
+                ("ACCELFLOW_SHARDS", count),
+                ("ACCELFLOW_SHARD_INDEX", index),
+            ]))
+        };
+        assert_eq!(shard("3", "2"), Ok(Shard { count: 3, index: 2 }));
+        assert!(shard("0", "0").unwrap().is_whole(), "count clamps up to 1");
+        assert_eq!(Shard::from_vars(vars(&[])), Ok(Shard::whole()));
     }
 
     #[test]
     fn out_of_range_shard_index_is_rejected() {
-        // catch_unwind instead of should_panic so with_env still
-        // restores the process-global vars afterwards.
-        with_env(
-            &[("ACCELFLOW_SHARDS", "2"), ("ACCELFLOW_SHARD_INDEX", "2")],
-            || {
-                assert!(std::panic::catch_unwind(Shard::from_env).is_err());
-            },
-        );
+        let env = [("ACCELFLOW_SHARDS", "2"), ("ACCELFLOW_SHARD_INDEX", "2")];
+        rejects(Shard::from_vars(vars(&env)), "ACCELFLOW_SHARD_INDEX", "2");
+        // Without a count, the only index is 0.
+        let env = [("ACCELFLOW_SHARD_INDEX", "1")];
+        rejects(Shard::from_vars(vars(&env)), "ACCELFLOW_SHARD_INDEX", "1");
+    }
+
+    #[test]
+    fn an_unparsable_shard_count_is_an_error() {
+        for count in ["2x", "abc", "-1", "", "1.5"] {
+            let env = [("ACCELFLOW_SHARDS", count), ("ACCELFLOW_SHARD_INDEX", "0")];
+            rejects(Shard::from_vars(vars(&env)), "ACCELFLOW_SHARDS", count);
+        }
+    }
+
+    #[test]
+    fn an_unparsable_shard_index_is_an_error() {
+        for index in ["1x", "abc", "-1", "", "0.5"] {
+            let env = [("ACCELFLOW_SHARDS", "2"), ("ACCELFLOW_SHARD_INDEX", index)];
+            rejects(Shard::from_vars(vars(&env)), "ACCELFLOW_SHARD_INDEX", index);
+        }
     }
 
     #[test]
