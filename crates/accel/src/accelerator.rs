@@ -5,7 +5,10 @@
 //! from other accelerators' output dispatchers via A-DMA), assigns them
 //! to free PEs under a scheduling policy, and tracks tenant occupancy
 //! of PEs so that the machine can charge the scratchpad wipe the
-//! fine-grained virtualization of §IV-D requires between tenants.
+//! fine-grained virtualization of §IV-D requires between tenants. A PE
+//! keeps the payload size of the entry it runs and hands it back at
+//! completion, so the output dispatcher sizes the next hop from the
+//! payload it holds.
 
 use accelflow_arch::config::ArchConfig;
 use accelflow_arch::tlb::Tlb;
@@ -34,6 +37,15 @@ pub struct StartedJob {
     pub queueing: SimDuration,
 }
 
+/// What a station keeps per PE.
+#[derive(Clone, Copy, Debug, Default)]
+struct PeSlot {
+    /// The tenant whose state the scratchpad last held.
+    last_tenant: Option<TenantId>,
+    /// Payload size of the entry the PE runs (or last ran).
+    data_bytes: u64,
+}
+
 /// One accelerator instance.
 ///
 /// # Example
@@ -57,11 +69,11 @@ pub struct Accelerator {
     input: InputQueue,
     policy: QueuePolicy,
     /// PE occupancy in struct-of-arrays form: one busy bitmask plus a
-    /// dense last-tenant array, so the dispatch inner loop is bit math
-    /// over a word and a linear probe of a small contiguous array.
+    /// dense per-PE array, so the dispatch inner loop is bit math over a
+    /// word and a linear probe of a small contiguous array.
     pe_busy: u64,
     pe_full: u64,
-    pe_last_tenant: Vec<Option<TenantId>>,
+    pes: Vec<PeSlot>,
     tlb: Tlb,
     busy: BusyTracker,
     processed: u64,
@@ -80,7 +92,7 @@ impl Accelerator {
             policy,
             pe_busy: 0,
             pe_full: if n == 64 { !0 } else { (1u64 << n) - 1 },
-            pe_last_tenant: vec![None; n],
+            pes: vec![PeSlot::default(); n],
             tlb: Tlb::new(cfg),
             busy: BusyTracker::new(),
             processed: 0,
@@ -146,14 +158,14 @@ impl Accelerator {
         let mut probe = free;
         while probe != 0 {
             let i = probe.trailing_zeros() as usize;
-            if self.pe_last_tenant[i] == Some(entry.tenant) {
+            if self.pes[i].last_tenant == Some(entry.tenant) {
                 pe = Some(i);
                 break;
             }
             probe &= probe - 1;
         }
         let pe = pe.unwrap_or_else(|| free.trailing_zeros() as usize);
-        let tenant_wipe = match self.pe_last_tenant[pe] {
+        let tenant_wipe = match self.pes[pe].last_tenant {
             Some(t) => t != entry.tenant,
             None => false,
         };
@@ -161,7 +173,10 @@ impl Accelerator {
             self.tenant_wipes += 1;
         }
         self.pe_busy |= 1u64 << pe;
-        self.pe_last_tenant[pe] = Some(entry.tenant);
+        self.pes[pe] = PeSlot {
+            last_tenant: Some(entry.tenant),
+            data_bytes: entry.data_bytes,
+        };
         let queueing = now.saturating_since(entry.enqueued_at);
         Some(StartedJob {
             entry,
@@ -172,16 +187,24 @@ impl Accelerator {
     }
 
     /// Marks a PE's job complete, accounting `busy_time` of PE
-    /// occupancy.
+    /// occupancy, and returns the payload size of the entry it ran.
     ///
     /// # Panics
     ///
     /// Panics if the PE was not busy.
-    pub fn complete(&mut self, pe: usize, busy_time: SimDuration) {
+    pub fn complete(&mut self, pe: usize, busy_time: SimDuration) -> u64 {
         assert!(self.pe_busy & (1u64 << pe) != 0, "completing an idle PE");
         self.pe_busy &= !(1u64 << pe);
         self.busy.add_busy(busy_time);
         self.processed += 1;
+        self.pes[pe].data_bytes
+    }
+
+    /// The payload size of the entry PE `pe` runs, or `None` when the
+    /// PE is idle or does not exist.
+    pub fn running_bytes(&self, pe: usize) -> Option<u64> {
+        let busy = pe < self.pes.len() && self.pe_busy & (1u64 << pe) != 0;
+        busy.then(|| self.pes[pe].data_bytes)
     }
 
     /// The accelerator's address-translation cache.
@@ -211,7 +234,7 @@ impl Accelerator {
 
     /// PE utilization over `[0, now]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
-        let window = now.as_picos() as f64 * self.pe_last_tenant.len() as f64;
+        let window = now.as_picos() as f64 * self.pes.len() as f64;
         if window == 0.0 {
             0.0
         } else {
@@ -228,7 +251,7 @@ impl Accelerator {
     /// a station-wide stall poisons the jobs in flight).
     pub fn busy_pe_indices(&self) -> impl Iterator<Item = usize> + '_ {
         let mask = self.pe_busy;
-        (0..self.pe_last_tenant.len()).filter(move |i| mask & (1u64 << i) != 0)
+        (0..self.pes.len()).filter(move |i| mask & (1u64 << i) != 0)
     }
 
     /// Removes the SRAM queue entry at `index` without running it (fault
@@ -245,7 +268,7 @@ impl Accelerator {
 
     /// Number of processing elements.
     pub fn pe_count(&self) -> usize {
-        self.pe_last_tenant.len()
+        self.pes.len()
     }
 
     /// Cumulative PE busy time (sum over PEs). Windowed utilization
@@ -255,9 +278,11 @@ impl Accelerator {
     }
 }
 
+accelflow_sim::impl_snapshot! { struct PeSlot { last_tenant, data_bytes } }
+
 accelflow_sim::impl_snapshot! {
     struct Accelerator {
-        kind, unit, input, policy, pe_busy, pe_full, pe_last_tenant, tlb, busy, processed,
+        kind, unit, input, policy, pe_busy, pe_full, pes, tlb, busy, processed,
         tenant_wipes,
     } check Accelerator::check_loaded
 }
@@ -265,7 +290,7 @@ accelflow_sim::impl_snapshot! {
 impl Accelerator {
     /// Refuses PE occupancy masks that disagree with the PE count.
     fn check_loaded(&self) -> Result<(), accelflow_sim::snapshot::SnapshotError> {
-        let (n, full, busy) = (self.pe_last_tenant.len(), self.pe_full, self.pe_busy);
+        let (n, full, busy) = (self.pes.len(), self.pe_full, self.pe_busy);
         if (1..=64).contains(&n) && full == u64::MAX >> (64 - n) && busy & !full == 0 {
             return Ok(());
         }
@@ -280,8 +305,7 @@ mod tests {
     use super::*;
     use accelflow_sim::time::SimDuration;
     use accelflow_trace::cond::PayloadFlags;
-    use accelflow_trace::ir::{PositionMark, Slot, Trace};
-    use std::sync::Arc;
+    use accelflow_trace::ir::PositionMark;
 
     use crate::queue::RequestId;
 
@@ -289,7 +313,6 @@ mod tests {
         QueueEntry {
             request: RequestId(req),
             tenant: TenantId(tenant),
-            trace: Arc::new(Trace::new("t", vec![Slot::Accel(AccelKind::Tcp)])),
             pm: PositionMark(0),
             data_bytes: 1024,
             flags: PayloadFlags::default(),
@@ -321,7 +344,11 @@ mod tests {
         assert_ne!(j1.pe, j2.pe);
         assert!(a.start_next(SimTime::ZERO).is_none(), "queue drained");
         assert_eq!(a.busy_pes(), 2);
-        a.complete(j1.pe, SimDuration::from_micros(3));
+        assert_eq!(a.running_bytes(j1.pe), Some(1024));
+        // Completion hands back the size of the payload the PE held.
+        assert_eq!(a.complete(j1.pe, SimDuration::from_micros(3)), 1024);
+        assert_eq!(a.running_bytes(j1.pe), None);
+        assert_eq!(a.running_bytes(a.pe_count()), None);
         a.complete(j2.pe, SimDuration::from_micros(3));
         assert_eq!(a.busy_pes(), 0);
         assert_eq!(a.processed(), 2);
@@ -466,7 +493,7 @@ mod tests {
         a.policy.save(&mut v);
         v.u64(a.pe_full << 1); // busy bit outside pe_full
         v.u64(a.pe_full);
-        a.pe_last_tenant.save(&mut v);
+        a.pes.save(&mut v);
         a.tlb.save(&mut v);
         a.busy.save(&mut v);
         v.u64(0);

@@ -133,9 +133,8 @@ mod tests {
     use accelflow_trace::atm::AtmAddr;
     use accelflow_trace::cond::{BranchCond, PayloadFlags};
     use accelflow_trace::format::{DataFormat, Transform};
-    use accelflow_trace::ir::{PositionMark, Slot, Trace};
+    use accelflow_trace::ir::PositionMark;
     use accelflow_trace::kind::AccelKind;
-    use std::sync::Arc;
 
     use crate::queue::{RequestId, TenantId};
 
@@ -223,7 +222,6 @@ mod tests {
         QueueEntry {
             request: RequestId(req),
             tenant: TenantId(0),
-            trace: Arc::new(Trace::new("t", vec![Slot::Accel(AccelKind::Tcp)])),
             pm: PositionMark(0),
             data_bytes: 512,
             flags: PayloadFlags::default(),

@@ -1,10 +1,12 @@
 //! Accelerator queue entries and the bounded input queue with its
 //! memory overflow area (paper §IV-A).
 //!
-//! A queue entry carries: the trace with its moving Position Mark, the
-//! tenant ID (accelerators are shared by tenants, §IV-D), up to 2 KB of
-//! inline data plus a Memory Pointer for larger payloads, and —
-//! when the system runs SLOs — the request's soft deadline (§IV-C).
+//! A queue entry carries: the moving Position Mark into its trace (the
+//! trace itself stays resident in the ATM, and the embedder's tag names
+//! the request that walks it), the tenant ID (accelerators are shared
+//! by tenants, §IV-D), the payload size — up to 2 KB inline plus a
+//! Memory Pointer for larger payloads — and, when the system runs SLOs,
+//! the request's soft deadline (§IV-C).
 //!
 //! Starvation/deadlock handling (§IV-A): a *core* that finds the queue
 //! full gets an error and retries elsewhere; an *output dispatcher*
@@ -12,11 +14,10 @@
 //! if even the overflow area is full, execution falls back to the CPU.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use accelflow_sim::time::SimTime;
 use accelflow_trace::cond::PayloadFlags;
-use accelflow_trace::ir::{PositionMark, Trace};
+use accelflow_trace::ir::PositionMark;
 
 /// Identifies one request (one service invocation) end to end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,9 +34,8 @@ pub struct QueueEntry {
     pub request: RequestId,
     /// The owning tenant.
     pub tenant: TenantId,
-    /// The trace being executed.
-    pub trace: Arc<Trace>,
-    /// Position Mark: the `Accel` slot this entry is queued for.
+    /// Position Mark: the `Accel` slot of the entry's trace it is
+    /// queued for.
     pub pm: PositionMark,
     /// Current payload size in bytes (inline up to 2 KB; the rest via
     /// the Memory Pointer).
@@ -221,6 +221,12 @@ impl InputQueue {
         self.entries.iter()
     }
 
+    /// Iterates over every waiting entry: the SRAM queue, then the
+    /// overflow area.
+    pub fn waiting(&self) -> impl Iterator<Item = &QueueEntry> {
+        self.entries.iter().chain(&self.overflow)
+    }
+
     /// Lifetime count of entries that landed in the overflow area.
     pub fn overflow_count(&self) -> u64 {
         self.overflow_count
@@ -243,7 +249,7 @@ accelflow_sim::impl_snapshot! { struct TenantId { 0 } }
 
 accelflow_sim::impl_snapshot! {
     struct QueueEntry {
-        request, tenant, trace, pm, data_bytes, flags, vaddr, deadline, priority, enqueued_at,
+        request, tenant, pm, data_bytes, flags, vaddr, deadline, priority, enqueued_at,
         origin_core, tag,
     }
 }
@@ -280,14 +286,11 @@ impl InputQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelflow_trace::ir::Slot;
-    use accelflow_trace::kind::AccelKind;
 
     fn entry(req: u64) -> QueueEntry {
         QueueEntry {
             request: RequestId(req),
             tenant: TenantId(0),
-            trace: Arc::new(Trace::new("t", vec![Slot::Accel(AccelKind::Tcp)])),
             pm: PositionMark(0),
             data_bytes: 1024,
             flags: PayloadFlags::default(),
@@ -320,6 +323,8 @@ mod tests {
         assert_eq!(q.push(entry(4)), PushOutcome::Rejected);
         assert_eq!(q.overflow_count(), 2);
         assert_eq!(q.backlog(), 3);
+        let waiting: Vec<u64> = q.waiting().map(|e| e.request.0).collect();
+        assert_eq!(waiting, vec![1, 2, 3]);
     }
 
     #[test]

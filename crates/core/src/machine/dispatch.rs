@@ -10,8 +10,6 @@
 //! with a single shared queue (RELIEF) go through
 //! [`MachineCtx::dispatch_shared`] instead of per-station queues.
 
-use std::sync::Arc;
-
 use accelflow_accel::queue::{PushOutcome, QueueEntry, RequestId};
 use accelflow_sim::engine::Schedule;
 use accelflow_sim::telemetry::CompId;
@@ -20,7 +18,7 @@ use accelflow_trace::kind::AccelKind;
 
 use crate::request::CallAddr;
 
-use super::{Ev, MachineCtx};
+use super::{Ev, HopArrival, MachineCtx};
 
 /// A job waiting in RELIEF's single shared queue.
 #[derive(Clone, Debug)]
@@ -33,13 +31,14 @@ impl MachineCtx {
     pub(crate) fn on_hop_arrive(
         &mut self,
         now: SimTime,
-        addr: CallAddr,
+        arrival: HopArrival,
         queue: &mut impl Schedule<Ev>,
     ) {
+        let addr = arrival.addr;
         if self.req_gone(addr.req) {
             return; // e.g. a response arriving after a timeout
         }
-        let (kind, entry) = self.make_entry(now, addr);
+        let (kind, entry) = self.make_entry(now, arrival);
         if self.transition.single_shared_queue() {
             self.shared_queue.push_back(SharedJob { entry, kind });
             self.energy.add_queue_accesses(1);
@@ -66,7 +65,7 @@ impl MachineCtx {
                 // for the rest of the segment.
                 self.totals.fallbacks += 1;
                 self.tel_instant(now, CompId::MACHINE, "fallback", addr.req);
-                self.fallback_segment(now, addr, queue);
+                self.fallback_segment(now, addr, arrival.in_bytes, queue);
             }
         }
     }
@@ -112,17 +111,19 @@ impl MachineCtx {
         (self.stations_of(kind).start, PushOutcome::Rejected)
     }
 
-    fn make_entry(&self, now: SimTime, addr: CallAddr) -> (AccelKind, QueueEntry) {
+    /// The queue entry for a landed payload: the hop's accelerator and
+    /// Position Mark from its segment's walk, the size it carries.
+    fn make_entry(&self, now: SimTime, arrival: HopArrival) -> (AccelKind, QueueEntry) {
+        let addr = arrival.addr;
         let r = self.req(addr.req);
         let call = r.program.call(addr.step, addr.par);
         let seg = call.segment(addr.seg as usize);
-        let hop = seg.hop(addr.hop as usize);
+        let (kind, pm) = seg.mark(addr.hop as usize);
         let entry = QueueEntry {
             request: RequestId(addr.req as u64),
             tenant: r.tenant,
-            trace: Arc::clone(seg.trace),
-            pm: hop.pm,
-            data_bytes: hop.in_bytes,
+            pm,
+            data_bytes: arrival.in_bytes,
             flags: seg.flags,
             vaddr: call.vaddr() + ((addr.seg as u64) << 12),
             deadline: r.deadline,
@@ -131,7 +132,7 @@ impl MachineCtx {
             origin_core: 0,
             tag: addr.tag(),
         };
-        (hop.kind, entry)
+        (kind, entry)
     }
 
     /// How far RELIEF's manager can look past the head of its shared
@@ -306,7 +307,9 @@ impl MachineCtx {
         // Take the poison flag unconditionally (before any early
         // return) so it never outlives this PE occupancy.
         let failed = self.pe_job_poisoned(accel as usize, pe as usize);
-        self.accels[accel as usize].complete(pe as usize, SimDuration::from_picos(busy_ps));
+        // The PE hands back the size of the payload it ran.
+        let in_bytes =
+            self.accels[accel as usize].complete(pe as usize, SimDuration::from_picos(busy_ps));
         // Free PE: more queued work may start.
         if self.transition.single_shared_queue() {
             self.dispatch_shared(now, queue);
@@ -324,9 +327,9 @@ impl MachineCtx {
                 "pe_job_failed",
                 addr.req,
             );
-            self.recover_call(now, addr, queue);
+            self.recover_call(now, addr, in_bytes, queue);
             return;
         }
-        self.after_hop(now, addr, accel, queue);
+        self.after_hop(now, addr, accel, in_bytes, queue);
     }
 }

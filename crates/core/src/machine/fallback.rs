@@ -39,18 +39,24 @@ impl MachineCtx {
         queue.schedule_at(booking.finish, Ev::FallbackDone(addr));
     }
 
-    /// CPU fallback: execute the rest of the segment in software.
+    /// CPU fallback: execute the rest of the segment in software, from
+    /// hop `addr` entered with `in_bytes`.
     pub(crate) fn fallback_segment(
         &mut self,
         now: SimTime,
         addr: CallAddr,
+        in_bytes: u64,
         queue: &mut impl Schedule<Ev>,
     ) {
         let work = {
             let seg = self.req(addr.req).program.segment(addr);
-            seg.hops()
-                .skip(addr.hop as usize)
-                .map(|h| self.timing.cpu_time(h.kind, h.in_bytes))
+            let mut bytes = in_bytes;
+            (addr.hop as usize..seg.hop_count())
+                .map(|i| {
+                    let h = seg.exec(i, bytes);
+                    bytes = h.out_bytes;
+                    self.timing.cpu_time(h.kind, h.in_bytes)
+                })
                 .sum::<SimDuration>()
         };
         let booking = self.cores.acquire(now, work);
@@ -68,12 +74,13 @@ impl MachineCtx {
         if self.req_gone(addr.req) {
             return;
         }
-        let (end, has_next, is_error) = {
+        let (end, next_entry_bytes, is_error) = {
             let call = self.req(addr.req).program.call(addr.step, addr.par);
             let seg = call.segment(addr.seg as usize);
+            let next_seg = addr.seg as usize + 1;
             (
                 seg.end,
-                (addr.seg as usize + 1) < call.segment_count(),
+                (next_seg < call.segment_count()).then(|| call.segment(next_seg).entry_bytes()),
                 seg.trace.name() == "report_error",
             )
         };
@@ -90,7 +97,7 @@ impl MachineCtx {
                 );
             }
             SegmentEnd::Continue => {
-                debug_assert!(has_next);
+                let entry_bytes = next_entry_bytes.expect("Continue requires a next segment");
                 let next_addr = CallAddr {
                     seg: addr.seg + 1,
                     hop: 0,
@@ -99,11 +106,11 @@ impl MachineCtx {
                 if self.transition.cpu_only() {
                     self.start_segment_on_cpu(now, next_addr, queue);
                 } else {
-                    queue.schedule(SimDuration::ZERO, Ev::HopArrive(next_addr));
+                    queue.schedule(SimDuration::ZERO, Ev::hop_arrive(next_addr, entry_bytes));
                 }
             }
             SegmentEnd::AwaitResponse { external } => {
-                debug_assert!(has_next);
+                debug_assert!(next_entry_bytes.is_some());
                 self.charge(addr.req, |b| b.external += external);
                 let next_addr = CallAddr {
                     seg: addr.seg + 1,

@@ -247,8 +247,9 @@ pub enum Ev {
     StartStep(u32),
     /// An app-logic stage finished on a core.
     AppDone(u32),
-    /// A payload landed in an accelerator's input queue.
-    HopArrive(CallAddr),
+    /// A payload landed in an accelerator's input queue, carrying its
+    /// size.
+    HopArrive(HopArrival),
     /// Retry a tenant-throttled trace initiation.
     HopArriveRetry(CallAddr),
     /// A remote response arrived under Non-acc (next segment runs on a
@@ -292,6 +293,35 @@ pub enum Ev {
     /// [`MachineConfig::control`] has no autoscaler, so the golden
     /// event streams are unchanged.
     ScaleTick,
+}
+
+/// A payload landing at hop `addr`, with the size entering the hop:
+/// the segment's entry size at its first hop, and after that the size
+/// the hop before it produced. The size travels with the work, so
+/// admitting the payload reads no earlier hop.
+///
+/// `Debug` renders the address alone, as the event rendered before it
+/// carried the size: the pinned event-stream hashes fold that text,
+/// and along a run the size is a function of the address (snapshot
+/// loading checks it against the walk).
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[doc(hidden)]
+pub struct HopArrival {
+    pub(crate) addr: CallAddr,
+    pub(crate) in_bytes: u64,
+}
+
+impl std::fmt::Debug for HopArrival {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.addr.fmt(f)
+    }
+}
+
+impl Ev {
+    /// The [`Ev::HopArrive`] landing `in_bytes` at hop `addr`.
+    pub(crate) fn hop_arrive(addr: CallAddr, in_bytes: u64) -> Ev {
+        Ev::HopArrive(HopArrival { addr, in_bytes })
+    }
 }
 
 /// The machine's shared mutable state: every hardware model, the
@@ -659,7 +689,7 @@ impl Machine {
             Ev::Arrive(idx) => ctx.on_arrive(now, idx, queue),
             Ev::StartStep(req) => ctx.on_start_step(now, req, queue),
             Ev::AppDone(req) => ctx.on_app_done(now, req, queue),
-            Ev::HopArrive(addr) => ctx.on_hop_arrive(now, addr, queue),
+            Ev::HopArrive(arrival) => ctx.on_hop_arrive(now, arrival, queue),
             Ev::HopArriveRetry(addr) => ctx.start_call(now, addr, queue),
             Ev::ExternalArriveCpu(addr) => ctx.start_segment_on_cpu(now, addr, queue),
             Ev::PeDone {

@@ -168,7 +168,7 @@ impl MachineCtx {
         f.stats.queue_drops += 1;
         let entry = self.accels[station].drop_entry(idx);
         self.tel_instant_sys(now, CompId::accelerator(station as u16), "fault_queue_drop");
-        self.recover_call(now, CallAddr::from_tag(entry.tag), queue);
+        self.recover_call(now, CallAddr::from_tag(entry.tag), entry.data_bytes, queue);
     }
 
     /// A station's stall window may have ended: wake its input queue
@@ -193,11 +193,13 @@ impl MachineCtx {
     /// Consumes one armed A-DMA transfer error, if any: the transfer
     /// still occupied its engine until `at`, but the payload arrives
     /// corrupt and is discarded. Returns true when the caller must
-    /// suppress the normal delivery (the hop re-enters via recovery).
+    /// suppress the normal delivery (hop `addr` re-enters via recovery
+    /// with `in_bytes`, the size the lost payload carried into it).
     pub(crate) fn dma_transfer_faulted(
         &mut self,
         at: SimTime,
         addr: CallAddr,
+        in_bytes: u64,
         queue: &mut impl Schedule<Ev>,
     ) -> bool {
         let Some(f) = self.faults.as_mut() else {
@@ -208,7 +210,7 @@ impl MachineCtx {
         }
         f.pending_dma_errors -= 1;
         self.tel_instant(at, CompId::DMA, "dma_corrupt", addr.req);
-        self.recover_call(at, addr, queue);
+        self.recover_call(at, addr, in_bytes, queue);
         true
     }
 
@@ -245,11 +247,14 @@ impl MachineCtx {
     /// to the CPU fallback. Retried first hops re-enter ordinary
     /// admission, which routes around dark stations (sibling
     /// re-dispatch). The attempt budget is per call position
-    /// ([`CallAddr::tag`]) over the request's lifetime.
+    /// ([`CallAddr::tag`]) over the request's lifetime. `in_bytes` is
+    /// the payload size entering the failed hop; the retry carries it
+    /// again.
     pub(crate) fn recover_call(
         &mut self,
         at: SimTime,
         addr: CallAddr,
+        in_bytes: u64,
         queue: &mut impl Schedule<Ev>,
     ) {
         if self.req_gone(addr.req) {
@@ -282,7 +287,7 @@ impl MachineCtx {
                 addr.req,
                 call_arg(addr.step, addr.par),
             );
-            self.fallback_segment(at, addr, queue);
+            self.fallback_segment(at, addr, in_bytes, queue);
             return;
         }
         let (attempt, backoff) = {
@@ -315,7 +320,7 @@ impl MachineCtx {
         } else {
             at
         };
-        queue.schedule_at(ready + backoff, Ev::HopArrive(addr));
+        queue.schedule_at(ready + backoff, Ev::hop_arrive(addr, in_bytes));
     }
 
     /// Drops retry bookkeeping for a terminating request (called from

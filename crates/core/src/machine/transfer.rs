@@ -33,7 +33,8 @@ struct HopInfo {
     fork_after: bool,
     next_kind: Option<AccelKind>,
     end: SegmentEnd,
-    has_next_segment: bool,
+    /// The next segment's entry size, if the call has one.
+    next_entry_bytes: Option<u64>,
 }
 
 impl MachineCtx {
@@ -51,10 +52,13 @@ impl MachineCtx {
             addr.seg == 0 && addr.hop == 0,
             "a call starts at its first hop"
         );
-        let entry_is_network = self.req(addr.req).program.segment(addr).entry_is_network;
+        let (entry_is_network, first_kind, bytes) = {
+            let seg = self.req(addr.req).program.segment(addr);
+            (seg.entry_is_network, seg.mark(0).0, seg.entry_bytes())
+        };
         if entry_is_network {
             // The message lands at TCP directly; no core submission.
-            queue.schedule(SimDuration::ZERO, Ev::HopArrive(addr));
+            queue.schedule(SimDuration::ZERO, Ev::hop_arrive(addr, bytes));
         } else {
             // The core prepares and submits the trace (Enqueue + A-DMA
             // programming for AccelFlow; heavier software paths for the
@@ -72,10 +76,6 @@ impl MachineCtx {
             }
             let start = booking.map(|b| b.finish).unwrap_or(now);
             // DMA the payload from the core into the first accelerator.
-            let (first_kind, bytes) = {
-                let hop = self.req(addr.req).program.hop(addr);
-                (hop.kind, hop.in_bytes)
-            };
             let booking = self.dma.transfer(
                 start,
                 &self.net,
@@ -95,27 +95,30 @@ impl MachineCtx {
                 addr.req,
                 bytes,
             );
-            if self.dma_transfer_faulted(booking.finish, addr, queue) {
+            if self.dma_transfer_faulted(booking.finish, addr, bytes, queue) {
                 return;
             }
-            queue.schedule_at(booking.finish, Ev::HopArrive(addr));
+            queue.schedule_at(booking.finish, Ev::hop_arrive(addr, bytes));
         }
     }
 
     /// The policy-defining transition after a completed hop. `accel` is
     /// the station whose output dispatcher runs the transition (only
-    /// telemetry attribution uses it).
+    /// telemetry attribution uses it); `in_bytes` is the payload size
+    /// the hop ran on, which sizes its output.
     pub(crate) fn after_hop(
         &mut self,
         now: SimTime,
         addr: CallAddr,
         accel: u8,
+        in_bytes: u64,
         queue: &mut impl Schedule<Ev>,
     ) {
         let info = {
             let call = self.req(addr.req).program.call(addr.step, addr.par);
             let seg = call.segment(addr.seg as usize);
-            let hop = seg.hop(addr.hop as usize);
+            let hop = seg.exec(addr.hop as usize, in_bytes);
+            let next_seg = addr.seg as usize + 1;
             HopInfo {
                 kind: hop.kind,
                 out_bytes: hop.out_bytes,
@@ -125,7 +128,8 @@ impl MachineCtx {
                 fork_after: hop.fork_after,
                 next_kind: seg.kind(addr.hop as usize + 1),
                 end: seg.end,
-                has_next_segment: (addr.seg as usize + 1) < call.segment_count(),
+                next_entry_bytes: (next_seg < call.segment_count())
+                    .then(|| call.segment(next_seg).entry_bytes()),
             }
         };
 
@@ -154,7 +158,7 @@ impl MachineCtx {
                     let arrive = t + self.net.transfer_time(from, to, info.out_bytes);
                     let comm = arrive.saturating_since(t);
                     self.charge(addr.req, |b| b.communication += comm);
-                    queue.schedule_at(arrive, Ev::HopArrive(next_addr));
+                    queue.schedule_at(arrive, Ev::hop_arrive(next_addr, info.out_bytes));
                 }
                 TransferMode::StagedViaCore => {
                     // Data staged through the core's memory via the
@@ -169,7 +173,7 @@ impl MachineCtx {
                     self.bus.stream(t, info.out_bytes / 2);
                     self.energy.add_noc_bytes(2 * info.out_bytes);
                     self.charge(addr.req, |b| b.communication += legs);
-                    queue.schedule_at(t + legs, Ev::HopArrive(next_addr));
+                    queue.schedule_at(t + legs, Ev::hop_arrive(next_addr, info.out_bytes));
                 }
                 TransferMode::Dma => {
                     let booking = self.dma.transfer(t, &self.net, from, to, info.out_bytes);
@@ -185,10 +189,10 @@ impl MachineCtx {
                         addr.req,
                         info.out_bytes,
                     );
-                    if self.dma_transfer_faulted(booking.finish, next_addr, queue) {
+                    if self.dma_transfer_faulted(booking.finish, next_addr, info.out_bytes, queue) {
                         return;
                     }
-                    queue.schedule_at(booking.finish, Ev::HopArrive(next_addr));
+                    queue.schedule_at(booking.finish, Ev::hop_arrive(next_addr, info.out_bytes));
                 }
             }
             return;
@@ -219,7 +223,7 @@ impl MachineCtx {
                 self.charge(addr.req, |b| b.communication += comm);
                 // A corrupt result delivery re-runs the hop instead of
                 // completing the call.
-                if self.dma_transfer_faulted(done_at, addr, queue) {
+                if self.dma_transfer_faulted(done_at, addr, in_bytes, queue) {
                     return;
                 }
                 let error = self.req(addr.req).program.segment(addr).trace.name() == "report_error";
@@ -234,7 +238,9 @@ impl MachineCtx {
                 );
             }
             SegmentEnd::Continue => {
-                debug_assert!(info.has_next_segment, "Continue requires a next segment");
+                let entry_bytes = info
+                    .next_entry_bytes
+                    .expect("Continue requires a next segment");
                 // Split subtrace: the dispatcher reads the ATM and
                 // forwards to the next segment's first accelerator.
                 self.totals.atm_reads += 1;
@@ -246,11 +252,11 @@ impl MachineCtx {
                     hop: 0,
                     ..addr
                 };
-                queue.schedule_at(t2, Ev::HopArrive(next_addr));
+                queue.schedule_at(t2, Ev::hop_arrive(next_addr, entry_bytes));
             }
             SegmentEnd::AwaitResponse { external } => {
                 debug_assert!(
-                    info.has_next_segment,
+                    info.next_entry_bytes.is_some(),
                     "AwaitResponse requires a next segment"
                 );
                 // AccelFlow: the TCP dispatcher pre-loads the response
@@ -410,11 +416,12 @@ impl MachineCtx {
         }
         // Response messages re-enter through TCP. In the baselines the
         // core must notice and resubmit the processing chain.
+        let bytes = self.req(addr.req).program.segment(addr).entry_bytes();
         if self.transition.resubmits_external_response() {
             let ready = self.core_orchestrates(now, addr, self.cfg.arch.cpu_submit_overhead);
-            queue.schedule_at(ready, Ev::HopArrive(addr));
+            queue.schedule_at(ready, Ev::hop_arrive(addr, bytes));
         } else {
-            queue.schedule(SimDuration::ZERO, Ev::HopArrive(addr));
+            queue.schedule(SimDuration::ZERO, Ev::hop_arrive(addr, bytes));
         }
     }
 }

@@ -5,10 +5,13 @@
 //! [`Shape`] holds the size-free part of a walk — each hop's
 //! accelerator, Position Mark, transforms, branch and fork bits and the
 //! glue count of its other actions, and how the walk ends — and
-//! [`Shape::hop`] folds a hop's sizes and glue count from the entry
-//! size with the arithmetic the output dispatcher uses. Each thread
-//! interns one shape per walk in [`Shapes`], so a program stores a
-//! shared handle per segment instead of a record per hop.
+//! [`Shape::exec`] computes one hop's output size and glue count from
+//! the size entering it, with the arithmetic the output dispatcher
+//! uses. That is O(1) in the hop's index: the machine carries each
+//! hop's input size with the work, so no read folds the hops before
+//! it. Each thread interns one shape per walk in [`Shapes`], so a
+//! program stores a shared handle per segment instead of a record per
+//! hop.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -153,15 +156,22 @@ impl Shape {
         self.hops.get(i).map(|hop| hop.kind)
     }
 
-    /// Visit `i` of a segment entered with `entry_bytes`.
+    /// The accelerator and Position Mark of visit `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.hop_count()`.
-    pub(super) fn hop(&self, entry_bytes: u64, i: usize) -> HopExec {
-        let in_bytes = self.hops[..i]
-            .iter()
-            .fold(entry_bytes, |bytes, hop| hop.out_bytes(bytes));
+    pub(super) fn mark(&self, i: usize) -> (AccelKind, PositionMark) {
+        let hop = &self.hops[i];
+        (hop.kind, hop.pm)
+    }
+
+    /// Visit `i` with `in_bytes` entering it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.hop_count()`.
+    pub(super) fn exec(&self, i: usize, in_bytes: u64) -> HopExec {
         self.hops[i].exec(in_bytes)
     }
 

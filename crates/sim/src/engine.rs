@@ -276,6 +276,16 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
     pub fn load_snapshot(
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
+        Self::load_snapshot_checked(r, |_| Ok(()))
+    }
+
+    /// [`EventQueue::load_snapshot`] that passes each decoded event to
+    /// `check` before scheduling it, so the embedder can refuse events
+    /// that disagree with the state it restored beside the queue.
+    pub fn load_snapshot_checked(
+        r: &mut crate::snapshot::SnapReader<'_>,
+        mut check: impl FnMut(&E) -> Result<(), crate::snapshot::SnapshotError>,
+    ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::Snapshot;
         let now = SimTime::load(r)?;
         let delivered = r.u64()?;
@@ -293,6 +303,7 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
             }
             prev = at;
             let ev = E::load(r)?;
+            check(&ev)?;
             q.schedule_at(at, ev);
         }
         q.delivered = delivered;

@@ -31,8 +31,10 @@ use std::collections::VecDeque;
 
 /// Current layout version; bump on any wire-format change. Version 2:
 /// every run snapshot is a fleet snapshot, and a node's record is its
-/// clamp count.
-pub const SCHEMA_VERSION: u32 = 2;
+/// clamp count. Version 3: a pending hop arrival carries its payload
+/// size, each PE record the size of the entry it runs, and a queue
+/// entry no trace.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Why a snapshot failed to load.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -167,7 +167,7 @@ mod tests {
                 for (i, svc) in services.iter().enumerate() {
                     let p = svc.sample(&lib, &mut rng, (round * 64 + i as u64) << 40);
                     for call in p.calls() {
-                        total += call.segment(0).hop(0).in_bytes;
+                        total += call.segment(0).entry_bytes();
                         calls += 1;
                     }
                 }
