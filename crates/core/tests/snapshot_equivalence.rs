@@ -317,12 +317,12 @@ fn pin_machine(policy: Policy, expected: u64) {
 
 #[test]
 fn machine_snapshot_bytes_are_pinned_accelflow() {
-    pin_machine(Policy::AccelFlow, 0xf194_9939_5452_af64);
+    pin_machine(Policy::AccelFlow, 0x57a0_8f40_819f_c43d);
 }
 
 #[test]
 fn machine_snapshot_bytes_are_pinned_relief() {
-    pin_machine(Policy::Relief, 0x2a46_0c20_5ed8_2446);
+    pin_machine(Policy::Relief, 0x2cb5_c4bb_536f_19b4);
 }
 
 #[test]
@@ -335,7 +335,7 @@ fn cluster_snapshot_bytes_are_pinned() {
     let mut run = ClusterRun::start(&cfg, &services, work, DURATION, SEED, |_, _, _| {});
     run.run_to(SimTime::ZERO + PIN_AT);
     let bytes = run.snapshot();
-    check_pin("cluster", &bytes, 0x87e4_add1_f634_0148);
+    check_pin("cluster", &bytes, 0x9067_22bf_6148_0bd1);
     let resaved = ClusterRun::restore(&cfg, &services, &bytes, |_, _, _| {})
         .expect("pinned cluster snapshot must restore")
         .snapshot();
