@@ -132,11 +132,6 @@ impl Accelerator {
         self.pe_busy != self.pe_full
     }
 
-    /// Whether work is waiting.
-    pub fn has_backlog(&self) -> bool {
-        !self.input.is_empty()
-    }
-
     /// Input-dispatcher step: if a PE is free and an entry is ready,
     /// move the policy's pick onto a PE, preferring a PE last used by
     /// the same tenant (avoids a scratchpad wipe).
@@ -366,7 +361,7 @@ mod tests {
             jobs.push(j);
         }
         assert_eq!(jobs.len(), cfg.pes_per_accelerator);
-        assert!(a.has_backlog());
+        assert!(!a.input().is_empty());
         a.complete(jobs[0].pe, SimDuration::from_micros(1));
         assert!(a.start_next(SimTime::ZERO).is_some());
     }

@@ -6,8 +6,11 @@
 //! every instance rejects it), started on a free PE
 //! ([`MachineCtx::begin_pe`]), and completed by
 //! [`MachineCtx::on_pe_done`], which hands the policy-defining hop
-//! transition to the [`transfer`](super::transfer) module. Designs
-//! with a single shared queue (RELIEF) go through
+//! transition to the [`transfer`](super::transfer) module. Each
+//! handler that can make a station startable (an admission, a freed
+//! PE, a stall's end) ends with [`MachineCtx::start_queued`], the
+//! input dispatcher starting queued work on free PEs. Designs with a
+//! single shared queue (RELIEF) go through
 //! [`MachineCtx::dispatch_shared`] instead of per-station queues.
 
 use accelflow_accel::queue::{PushOutcome, QueueEntry, RequestId};
@@ -58,7 +61,7 @@ impl MachineCtx {
         self.energy.add_queue_accesses(1);
         match outcome {
             PushOutcome::Accepted | PushOutcome::Overflowed => {
-                self.schedule_try_start(station, queue);
+                self.start_queued(now, station, queue);
             }
             PushOutcome::Rejected => {
                 // Starvation/deadlock escape (§IV-A): fall back to CPU
@@ -172,26 +175,22 @@ impl MachineCtx {
         }
     }
 
-    /// Schedules an [`Ev::TryStart`] for `station` only when it can
-    /// start a job: a PE is free and work is queued. This models the
-    /// input dispatcher FSM, which starts the next queued job when a
-    /// PE frees; a try that would start nothing corresponds to no
-    /// hardware action, and whichever later push or completion makes
-    /// the station startable schedules its own try.
-    pub(crate) fn schedule_try_start(&self, station: usize, queue: &mut impl Schedule<Ev>) {
-        let acc = &self.accels[station];
-        if acc.has_free_pe() && acc.has_backlog() {
-            queue.schedule(SimDuration::ZERO, Ev::TryStart(station as u8));
+    /// The input dispatcher FSM: starts queued work on `station`'s
+    /// free PEs, unless the station is dark (its queue then waits for
+    /// the [`Ev::StallEnd`] that lights it). Runs last in each handler
+    /// that can make a station startable, so the work that handler
+    /// books precedes the starts'.
+    pub(crate) fn start_queued(
+        &mut self,
+        now: SimTime,
+        station: usize,
+        queue: &mut impl Schedule<Ev>,
+    ) {
+        if !self.station_available(station, now) {
+            return;
         }
-    }
-
-    pub(crate) fn on_try_start(&mut self, now: SimTime, accel: u8, queue: &mut impl Schedule<Ev>) {
-        let idx = accel as usize;
-        if !self.station_available(idx, now) {
-            return; // PEs stalled dark; StallEnd re-issues TryStart
-        }
-        while let Some(started) = self.accels[idx].start_next(now) {
-            self.begin_pe(now, idx, started, queue);
+        while let Some(started) = self.accels[station].start_next(now) {
+            self.begin_pe(now, station, started, queue);
         }
     }
 
@@ -207,9 +206,9 @@ impl MachineCtx {
             aud.record_pe_start(now, accel_idx);
         }
         if self.req_gone(addr.req) {
-            // Owner gave up (timeout); release the PE immediately.
+            // Owner gave up (timeout); release the PE immediately. The
+            // caller's start loop takes the freed PE.
             self.accels[accel_idx].complete(started.pe, SimDuration::ZERO);
-            self.schedule_try_start(accel_idx, queue);
             return;
         }
         let entry = &started.entry;
@@ -314,11 +313,9 @@ impl MachineCtx {
         if self.transition.single_shared_queue() {
             self.dispatch_shared(now, queue);
         }
-        self.schedule_try_start(accel as usize, queue);
         if self.req_gone(addr.req) {
-            return;
-        }
-        if failed {
+            // The owner gave up; the PE's output goes nowhere.
+        } else if failed {
             // A stall killed this job mid-flight: its output is void;
             // the hop re-enters through recovery instead of moving on.
             self.tel_instant(
@@ -328,8 +325,11 @@ impl MachineCtx {
                 addr.req,
             );
             self.recover_call(now, addr, in_bytes, queue);
-            return;
+        } else {
+            self.after_hop(now, addr, accel, in_bytes, queue);
         }
-        self.after_hop(now, addr, accel, in_bytes, queue);
+        // After the transition, so its manager and core bookings
+        // precede the started job's.
+        self.start_queued(now, accel as usize, queue);
     }
 }

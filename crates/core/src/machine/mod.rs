@@ -262,11 +262,11 @@ pub enum Ev {
         pe: u8,
         busy_ps: u64,
     },
-    /// Start queued work on an accelerator. Scheduled only when the
-    /// station has a free PE and a non-empty input queue at schedule
-    /// time, so every delivered `TryStart` is expected to start work
-    /// (a stall or a competing start in the same instant can still
-    /// leave it with nothing to do).
+    /// Start queued work on an accelerator. Nothing schedules it: each
+    /// handler that can make a station startable starts its queued
+    /// work itself. The variant stays only because the benchmark's
+    /// per-variant event counter names it; the next benchmark change
+    /// removes it.
     TryStart(u8),
     /// A remote response arrived, triggering the chained segment.
     ExternalArrive(CallAddr),
@@ -698,7 +698,7 @@ impl Machine {
                 pe,
                 busy_ps,
             } => ctx.on_pe_done(now, addr, accel, pe, busy_ps, queue),
-            Ev::TryStart(accel) => ctx.on_try_start(now, accel, queue),
+            Ev::TryStart(station) => ctx.start_queued(now, station as usize, queue),
             Ev::ExternalArrive(addr) => ctx.on_external_arrive(now, addr, queue),
             Ev::CallDone {
                 req,

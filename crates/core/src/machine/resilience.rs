@@ -187,7 +187,7 @@ impl MachineCtx {
         if self.transition.single_shared_queue() {
             self.dispatch_shared(now, queue);
         }
-        self.schedule_try_start(station as usize, queue);
+        self.start_queued(now, station as usize, queue);
     }
 
     /// Consumes one armed A-DMA transfer error, if any: the transfer
