@@ -1,5 +1,5 @@
 //! The fixture shared by the event-stream suites (`golden_events`,
-//! `outcome_pin`, `cluster_differential`): one short service and one
+//! `cluster_differential`): one short service and one
 //! DB-heavy service with parallel calls, awaits and chained segments,
 //! a nominal, a stress and a fault machine config over them, and the
 //! four-node datacenter fleet. Each run folds the `Debug` rendering of
@@ -11,7 +11,7 @@
 use accelflow_accel::timing::ServiceTimeModel;
 use accelflow_arch::config::ArchConfig;
 use accelflow_core::cluster::{BalancerKind, Cluster, ClusterConfig, NodeLink};
-use accelflow_core::machine::{Ev, Machine, MachineConfig};
+use accelflow_core::machine::{Machine, MachineConfig};
 use accelflow_core::policy::Policy;
 use accelflow_core::request::{CallSpec, CyclesDist, ServiceSpec, StageSpec};
 use accelflow_core::{poisson_arrivals, Arrival, FaultConfig};
@@ -138,27 +138,20 @@ impl Fixture {
         arrivals(self.rps, self.millis, self.seed)
     }
 
-    /// Runs the fixture and hashes every delivered event `keep`
-    /// accepts. Returns `(hash, hashed event count)`.
-    pub fn hash(&self, keep: impl Fn(&Ev) -> bool) -> (u64, u64) {
-        self.hash_arrivals(self.arrivals(), keep)
-    }
-
-    /// [`Fixture::hash`] over a caller-supplied arrival list.
-    pub fn hash_arrivals(&self, list: Vec<Arrival>, keep: impl Fn(&Ev) -> bool) -> (u64, u64) {
+    /// Runs the fixture and hashes every delivered event. Returns
+    /// `(hash, event count)`.
+    pub fn hash(&self) -> (u64, u64) {
         let mut hash = FNV_OFFSET;
         let mut events = 0u64;
         let report = Machine::run_arrivals_observed(
             &self.cfg,
             &services(),
-            list,
+            self.arrivals(),
             SimDuration::from_millis(self.millis),
             self.seed,
             |now, ev| {
-                if keep(ev) {
-                    events += 1;
-                    fnv1a(&mut hash, format!("{now:?}|{ev:?}\n").as_bytes());
-                }
+                events += 1;
+                fnv1a(&mut hash, format!("{now:?}|{ev:?}\n").as_bytes());
             },
         );
         assert!(report.offered() > 0, "workload produced no load");
@@ -167,9 +160,9 @@ impl Fixture {
 }
 
 /// Four-node datacenter-link AccelFlow fleet over the nominal load:
-/// every node's accepted events, tagged with the node id, folded into
-/// one hash. Returns `(hash, hashed event count)`.
-pub fn fleet_hash(balancer: BalancerKind, keep: impl Fn(&Ev) -> bool) -> (u64, u64) {
+/// every node's events, tagged with the node id, folded into one hash.
+/// Returns `(hash, event count)`.
+pub fn fleet_hash(balancer: BalancerKind) -> (u64, u64) {
     let f = nominal(Policy::AccelFlow);
     let mut cfg = ClusterConfig::new(4, f.cfg);
     cfg.link = NodeLink::datacenter();
@@ -183,10 +176,8 @@ pub fn fleet_hash(balancer: BalancerKind, keep: impl Fn(&Ev) -> bool) -> (u64, u
         SimDuration::from_millis(f.millis),
         f.seed,
         |now, node, ev| {
-            if keep(ev) {
-                events += 1;
-                fnv1a(&mut hash, format!("{now:?}|{node}|{ev:?}\n").as_bytes());
-            }
+            events += 1;
+            fnv1a(&mut hash, format!("{now:?}|{node}|{ev:?}\n").as_bytes());
         },
     );
     assert!(report.offered() > 0, "workload produced no load");
