@@ -317,7 +317,7 @@ fn pin_machine(policy: Policy, expected: u64) {
 
 #[test]
 fn machine_snapshot_bytes_are_pinned_accelflow() {
-    pin_machine(Policy::AccelFlow, 0x57a0_8f40_819f_c43d);
+    pin_machine(Policy::AccelFlow, 0x1a60_ac46_56cf_fe5e);
 }
 
 #[test]
@@ -335,7 +335,7 @@ fn cluster_snapshot_bytes_are_pinned() {
     let mut run = ClusterRun::start(&cfg, &services, work, DURATION, SEED, |_, _, _| {});
     run.run_to(SimTime::ZERO + PIN_AT);
     let bytes = run.snapshot();
-    check_pin("cluster", &bytes, 0x9067_22bf_6148_0bd1);
+    check_pin("cluster", &bytes, 0xc554_34fd_335d_1143);
     let resaved = ClusterRun::restore(&cfg, &services, &bytes, |_, _, _| {})
         .expect("pinned cluster snapshot must restore")
         .snapshot();
