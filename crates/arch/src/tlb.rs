@@ -273,6 +273,11 @@ impl accelflow_sim::snapshot::Snapshot for Tlb {
             )));
         };
         let page_shift = r.u32()?;
+        if page_shift >= u64::BITS {
+            return Err(SnapshotError::Corrupt(format!(
+                "bad TLB page shift {page_shift}"
+            )));
+        }
         let hit_latency = SimDuration::load(r)?;
         let walk_latency = SimDuration::load(r)?;
         let clock = r.u64()?;

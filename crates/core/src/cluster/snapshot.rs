@@ -199,6 +199,13 @@ impl<O: Observe> ClusterRun<O> {
         }
         model.rng = Snapshot::load(&mut r)?;
         model.pending = Snapshot::load(&mut r)?;
+        if let Some(a) = model.pending.iter().find(|a| a.service.0 >= names.len()) {
+            return Err(SnapshotError::Corrupt(format!(
+                "an undispatched arrival of service {} of {}",
+                a.service.0,
+                names.len()
+            )));
+        }
         model.health = Snapshot::load(&mut r)?;
         if model.health.dispatched.len() != cfg.nodes {
             return Err(SnapshotError::Corrupt(format!(
@@ -444,6 +451,21 @@ mod tests {
                 Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("cursor"), "{msg}"),
                 other => panic!("cursor {cursor}: expected Corrupt, got {:?}", other.err()),
             }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_undispatched_arrival_past_the_services() {
+        let services = ping();
+        let cfg = ClusterConfig::new(2, MachineConfig::new(Policy::AccelFlow));
+        let duration = SimDuration::from_millis(2);
+        let arrivals = cfg.node.poisson_arrivals(&services, 5_000.0, duration, 1);
+        let mut run = ClusterRun::start(&cfg, &services, arrivals, duration, 1, |_, _, _| {});
+        run.model.pending[0].service = crate::request::ServiceId(1);
+        let bytes = run.snapshot();
+        match ClusterRun::restore(&cfg, &services, &bytes, |_, _, _| {}) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("service 1 of 1"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.err()),
         }
     }
 

@@ -314,6 +314,17 @@ impl ControlState {
         !self.lit.is_empty()
     }
 
+    /// The configuration and table sizes a restored state must share
+    /// with the one its machine's configuration builds.
+    pub(crate) fn layout(&self) -> (&ControlConfig, usize, usize, usize) {
+        (
+            &self.cfg,
+            self.lit.len(),
+            self.dark_since.len(),
+            self.prev_busy.len(),
+        )
+    }
+
     /// Whether `station` is lit (always true without an autoscaler).
     #[inline]
     pub(crate) fn station_lit(&self, station: usize) -> bool {

@@ -351,6 +351,17 @@ impl FaultState {
         Some(SimDuration::from_picos(gap_ps as u64).max(SimDuration::from_picos(1)))
     }
 
+    /// The configuration and table sizes a restored state must share
+    /// with the one its machine's configuration builds.
+    pub(crate) fn layout(&self) -> (&FaultConfig, usize, usize, usize) {
+        (
+            &self.cfg,
+            self.avail.len(),
+            self.poisoned.len(),
+            self.pes_per_station,
+        )
+    }
+
     /// Marks the job on `(station, pe)` as failed by a stall.
     pub(crate) fn poison(&mut self, station: usize, pe: usize) {
         self.poisoned[station * self.pes_per_station + pe] = true;

@@ -53,6 +53,7 @@ use accelflow_sim::rng::SimRng;
 use accelflow_sim::snapshot::{SnapWriter, Snapshot, SnapshotError};
 use accelflow_sim::time::{SimDuration, SimTime};
 use accelflow_trace::templates::{TemplateId, TraceLibrary};
+use std::panic::AssertUnwindSafe;
 
 use common::{fnv1a, FNV_OFFSET};
 
@@ -485,21 +486,35 @@ fn mutate(bytes: &[u8], m: usize) -> Vec<u8> {
 }
 
 /// Restores every mutation in `mutations` through the one decoder,
-/// returning the ones that panicked.
-fn panicking_mutations(mutations: impl Iterator<Item = usize>) -> Vec<usize> {
+/// runs every `resume_every`-th one that restores on for [`RESUME`],
+/// and returns the ones that panicked.
+fn panicking_mutations(mutations: impl Iterator<Item = usize>, resume_every: usize) -> Vec<usize> {
     let (cfg, bytes) = sample_snapshot();
     let fleet = one_node(&cfg);
     let services = services();
+    let mut restored = 0usize;
     mutations
         .filter(|&m| {
             let input = mutate(&bytes, m);
-            std::panic::catch_unwind(|| {
-                let _ = ClusterRun::restore(&fleet, &services, &input, |_, _, _| {});
-            })
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let Ok(mut run) = ClusterRun::restore(&fleet, &services, &input, |_, _, _| {})
+                else {
+                    return;
+                };
+                restored += 1;
+                if restored.is_multiple_of(resume_every) {
+                    let until = run.now() + RESUME;
+                    run.run_to(until);
+                }
+            }))
             .is_err()
         })
         .collect()
 }
+
+/// How long a restored mutation runs on: past the sample run's 4 ms
+/// horizon, into its drain.
+const RESUME: SimDuration = SimDuration::from_millis(5);
 
 #[test]
 fn decoder_survives_a_sample_of_mutations() {
@@ -507,7 +522,7 @@ fn decoder_survives_a_sample_of_mutations() {
     let mut rng = SimRng::seed(0x5EED_F022);
     let total = 9 * bytes.len();
     let sample = (0..1_000).map(|_| rng.index(total));
-    let panicked = panicking_mutations(sample);
+    let panicked = panicking_mutations(sample, 1);
     assert!(panicked.is_empty(), "mutations that panicked: {panicked:?}");
 }
 
@@ -518,7 +533,9 @@ fn decoder_survives_a_sample_of_mutations() {
 )]
 fn decoder_survives_every_truncation_and_bit_flip() {
     let (_, bytes) = sample_snapshot();
-    let panicked = panicking_mutations(0..9 * bytes.len());
+    // Resuming every fourth restore adds about a quarter to the
+    // sweep's time; the sample above resumes every restore.
+    let panicked = panicking_mutations(0..9 * bytes.len(), 4);
     assert!(panicked.is_empty(), "mutations that panicked: {panicked:?}");
 }
 
