@@ -313,20 +313,21 @@ impl MachineCtx {
         if self.transition.single_shared_queue() {
             self.dispatch_shared(now, queue);
         }
-        if self.req_gone(addr.req) {
-            // The owner gave up; the PE's output goes nowhere.
-        } else if failed {
-            // A stall killed this job mid-flight: its output is void;
-            // the hop re-enters through recovery instead of moving on.
-            self.tel_instant(
-                now,
-                CompId::accelerator(accel as u16),
-                "pe_job_failed",
-                addr.req,
-            );
-            self.recover_call(now, addr, in_bytes, queue);
-        } else {
-            self.after_hop(now, addr, accel, in_bytes, queue);
+        if !self.req_gone(addr.req) {
+            if failed {
+                // A stall killed this job mid-flight: its output is
+                // void; the hop re-enters through recovery instead of
+                // moving on.
+                self.tel_instant(
+                    now,
+                    CompId::accelerator(accel as u16),
+                    "pe_job_failed",
+                    addr.req,
+                );
+                self.recover_call(now, addr, in_bytes, queue);
+            } else {
+                self.after_hop(now, addr, accel, in_bytes, queue);
+            }
         }
         // After the transition, so its manager and core bookings
         // precede the started job's.
